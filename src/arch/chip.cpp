@@ -18,7 +18,7 @@ constexpr uint64_t kGmemFunctionalCap = 256ull * 1024 * 1024;
 }  // namespace
 
 Chip::Chip(const config::ArchConfig& cfg, const isa::Program& program,
-           telemetry::TraceSink* trace)
+           telemetry::TraceSink* trace, const isa::VerifyProof* proof)
     : trace_(trace),
       cfg_(cfg),
       program_(program),
@@ -26,7 +26,8 @@ Chip::Chip(const config::ArchConfig& cfg, const isa::Program& program,
       core_clock_(kernel_, cfg_.core.freq_mhz),
       gmem_port_(kernel_, 1) {
   cfg_.validate();
-  std::vector<std::string> errors = program.verify(cfg_);
+  std::vector<std::string> errors;
+  if (proof == nullptr || !proof->covers(program, cfg_)) errors = program.verify(cfg_);
   if (!errors.empty()) {
     std::string msg = "program verification failed:\n";
     for (size_t i = 0; i < errors.size() && i < 10; ++i) msg += "  " + errors[i] + "\n";
@@ -50,12 +51,19 @@ Chip::Chip(const config::ArchConfig& cfg, const isa::Program& program,
     noc_.attach_trace(*trace_, trace_pid_);
   }
   stats_.cores.resize(cfg_.core_count);
-  static const isa::CoreProgram kEmpty;
-  cores_.reserve(cfg_.core_count);
-  for (uint16_t id = 0; id < cfg_.core_count; ++id) {
-    const isa::CoreProgram& cp = id < program.cores.size() ? program.cores[id] : kEmpty;
-    cores_.push_back(std::make_unique<Core>(kernel_, cfg_, id, *this, cp, stats_));
+  cores_.resize(cfg_.core_count);
+  for (size_t id = 0; id < program.cores.size(); ++id) {
+    const isa::CoreProgram& cp = program.cores[id];
+    if (cp.code.empty()) continue;
+    cores_[id] = std::make_unique<Core>(kernel_, cfg_, static_cast<uint16_t>(id), *this, cp,
+                                        stats_);
   }
+}
+
+Core& Chip::core(uint16_t id) {
+  Core* c = cores_.at(id).get();
+  if (c == nullptr) throw std::out_of_range(strformat("core %u has no code and no model", id));
+  return *c;
 }
 
 double Chip::static_power_mw() const {
@@ -97,7 +105,9 @@ std::vector<uint8_t> Chip::read_global(uint64_t addr, size_t size) const {
 RunStats Chip::run() {
   if (ran_) throw std::logic_error("Chip::run() may only be called once");
   ran_ = true;
-  for (auto& core : cores_) core->start();
+  for (auto& core : cores_) {
+    if (core) core->start();
+  }
 
   sim::Time limit = sim::kTimeMax;
   if (cfg_.sim.max_time_ps > 0) limit = cfg_.sim.max_time_ps;
@@ -114,7 +124,15 @@ RunStats Chip::run() {
   stats_.energy.add_static(static_power_mw(), end);
 
   if (!finished()) {
-    PIM_LOG(Error) << "simulation ended with unfinished cores (deadlock or time budget)";
+    // Events still queued mean the run was cut short (time budget or wall
+    // watchdog), which budgeted DSE points do on purpose. An empty queue
+    // with cores still waiting is a deadlock.
+    if (kernel_.empty()) {
+      PIM_LOG(Error) << "simulation deadlocked: cores wait on each other with nothing "
+                        "left to run";
+    } else {
+      PIM_LOG(Debug) << "simulation stopped at its time limit before every core halted";
+    }
   }
   if (owned_trace_) owned_trace_->write(cfg_.sim.trace_file);
   return stats_;
@@ -124,7 +142,7 @@ bool Chip::wall_expired() const { return kernel_.wall_expired(); }
 
 bool Chip::finished() const {
   return std::all_of(cores_.begin(), cores_.end(), [](const std::unique_ptr<Core>& c) {
-    return !c->started() || c->halted();
+    return c == nullptr || !c->started() || c->halted();
   });
 }
 

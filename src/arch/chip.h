@@ -1,6 +1,12 @@
 // Chip model (paper Fig. 2a): a mesh of cores plus a global memory reachable
-// through the NoC. Owns the simulation kernel, all cores, the interconnect
+// through the NoC. Owns the simulation kernel, the cores, the interconnect
 // and the statistics of one run.
+//
+// A chip is sized to its program. Only cores with code get a Core model;
+// a core without code gets no resources, no local memory and no trace rows,
+// while RunStats still lists every configured core. In functional runs each
+// modeled core's local memory is its program's static high-water mark
+// (isa::CoreProgram::lm_high_water), not the configured size.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +28,10 @@ namespace pim::arch {
 class Chip {
  public:
   /// The program must outlive the chip. Throws std::invalid_argument when
-  /// the program fails structural verification against `cfg`.
+  /// the program fails structural verification against `cfg`. The chip runs
+  /// isa::Program::verify itself unless `proof` covers this program under
+  /// `cfg` (VerifyProof::covers: same program object, same compile-relevant
+  /// key), i.e. unless the compiler already verified exactly this.
   ///
   /// `trace`, when non-null, receives the structural timeline of the run
   /// (pid = this chip; tids = core units, NoC links, layer phases) and must
@@ -30,7 +39,7 @@ class Chip {
   /// config key), the chip owns a sink and writes that file at the end of
   /// run() — same JSON pipeline, one config alias.
   Chip(const config::ArchConfig& cfg, const isa::Program& program,
-       telemetry::TraceSink* trace = nullptr);
+       telemetry::TraceSink* trace = nullptr, const isa::VerifyProof* proof = nullptr);
   Chip(const Chip&) = delete;
   Chip& operator=(const Chip&) = delete;
 
@@ -40,7 +49,8 @@ class Chip {
   RunStats run();
 
   /// True when every core with a program retired its HALT. If run() returns
-  /// with !finished(), the program deadlocked or exceeded the time budget.
+  /// with !finished(), the program deadlocked (logged as an error) or
+  /// stopped at the time budget (logged at debug level).
   bool finished() const;
 
   /// True when run() was abandoned by the wall-clock watchdog
@@ -52,7 +62,9 @@ class Chip {
   void write_global(uint64_t addr, std::span<const uint8_t> bytes);
   std::vector<uint8_t> read_global(uint64_t addr, size_t size) const;
 
-  Core& core(uint16_t id) { return *cores_.at(id); }
+  /// The model of core `id`. Throws std::out_of_range for a core without
+  /// code, which has none.
+  Core& core(uint16_t id);
   Noc& noc() { return noc_; }
   sim::Kernel& kernel() { return kernel_; }
   const config::ArchConfig& config() const { return cfg_; }
@@ -84,7 +96,7 @@ class Chip {
   Noc noc_;
   sim::Clock core_clock_;
   sim::Resource gmem_port_;
-  std::vector<std::unique_ptr<Core>> cores_;
+  std::vector<std::unique_ptr<Core>> cores_;  ///< null for cores without code
   std::vector<uint8_t> gmem_;  ///< grown on demand, capped far below config size
   bool ran_ = false;
 };

@@ -29,15 +29,16 @@ Core::Core(sim::Kernel& kernel, const config::ArchConfig& cfg, uint16_t id, Chip
       my_stats_(stats.cores.at(id)),
       clock_(kernel, cfg.core.freq_mhz),
       // Timing-only runs never read or write local-memory contents (every
-      // consumer is gated on sim.functional), so skip the allocation — for
-      // paper-scale chips it is 64 x 4 MB of zeroing per simulation, which
-      // would dominate short budgeted runs.
-      lm_(cfg.sim.functional ? cfg.core.local_memory.size_bytes : 0, 0),
+      // consumer is gated on sim.functional), so skip the allocation.
+      // Functional runs allocate the program's static high-water mark, not
+      // the configured size: paper-scale programs touch ~100 KB of 4 MB.
+      lm_(cfg.sim.functional ? program.lm_high_water() : 0, 0),
       lm_port_(kernel, 1),
       vector_unit_(kernel, 1),
       transfer_unit_(kernel, 1),
       scalar_unit_(kernel, 1),
       adc_pool_(kernel, cfg.core.matrix.adc_count),
+      groups_(program.group_table()),
       rob_slot_freed_(kernel),
       branch_resolved_(kernel) {
   for (const isa::DataSegment& seg : program.lm_init) {
@@ -48,13 +49,9 @@ Core::Core(sim::Kernel& kernel, const config::ArchConfig& cfg, uint16_t id, Chip
       std::copy(seg.bytes.begin(), seg.bytes.end(), lm_.begin() + seg.addr);
     }
   }
-  uint16_t max_group = 0;
-  for (const GroupDef& g : program.groups) max_group = std::max(max_group, g.id);
-  if (!program.groups.empty()) {
-    group_locks_.resize(size_t{max_group} + 1);
-    for (const GroupDef& g : program.groups) {
-      group_locks_[g.id] = std::make_unique<sim::Resource>(kernel, 1);
-    }
+  group_locks_.resize(groups_.size());
+  for (const GroupDef& g : program.groups) {
+    group_locks_[g.id] = std::make_unique<sim::Resource>(kernel, 1);
   }
   if (telemetry::TraceSink* sink = chip.trace()) {
     trace_ = sink;
@@ -86,7 +83,7 @@ void Core::charge_lm(uint64_t bytes) {
 }
 
 const GroupDef& Core::group(uint16_t gid) const {
-  const GroupDef* g = program_.find_group(gid);
+  const GroupDef* g = gid < groups_.size() ? groups_[gid] : nullptr;
   if (g == nullptr) {
     throw std::logic_error(strformat("core %u: undefined group %u", id_, gid));
   }
@@ -513,6 +510,14 @@ sim::Process Core::exec_transfer(RobEntry& e) {
         PIM_LOG(Error) << strformat("core %u -> %u: tag mismatch send=%u recv=%u", id_,
                                     in.core, in.tag, recv.tag);
       }
+      if (recv.bytes != bytes) {
+        // verify pairs byte totals per (src, dst, tag), not per instruction.
+        // Deliver only what the RECV reserved: its range is all the
+        // receiver's local memory is sized for.
+        PIM_LOG(Error) << strformat("core %u -> %u: send of %llu bytes meets recv of %llu",
+                                    id_, in.core, static_cast<unsigned long long>(bytes),
+                                    static_cast<unsigned long long>(recv.bytes));
+      }
 
       const sim::Time wire_start = kernel_.now();
       // Store-and-forward traversal, one occupied link at a time.
@@ -537,7 +542,8 @@ sim::Process Core::exec_transfer(RobEntry& e) {
       dst.lm_port().release();
       dst.charge_lm(bytes);
       if (cfg_.sim.functional) {
-        std::memcpy(dst.lm().data() + recv.dst_addr, payload.data(), bytes);
+        std::memcpy(dst.lm().data() + recv.dst_addr, payload.data(),
+                    std::min(bytes, recv.bytes));
       }
       my_stats_.bytes_sent += bytes;
       dst.stats().bytes_received += bytes;

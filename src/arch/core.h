@@ -51,9 +51,10 @@ class Core {
   bool halted() const { return halted_; }
   bool started() const { return started_; }
 
-  /// Functional local memory. Empty in timing-only runs (sim.functional ==
-  /// false): contents are never read or written there, so the backing
-  /// store is not allocated.
+  /// Functional local memory, sized to the program's static high-water
+  /// mark (isa::CoreProgram::lm_high_water). Empty in timing-only runs
+  /// (sim.functional == false): contents are never read or written there,
+  /// so the backing store is not allocated.
   std::vector<uint8_t>& lm() { return lm_; }
   const std::vector<uint8_t>& lm() const { return lm_; }
 
@@ -133,6 +134,7 @@ class Core {
   sim::Resource transfer_unit_;
   sim::Resource scalar_unit_;
   sim::Resource adc_pool_;
+  std::vector<const isa::GroupDef*> groups_;                 // index: group id
   std::vector<std::unique_ptr<sim::Resource>> group_locks_;  // index: group id
 
   // ROB.

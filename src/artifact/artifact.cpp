@@ -5,23 +5,6 @@
 
 namespace pim::artifact {
 
-std::string compile_relevant_arch(const config::ArchConfig& cfg) {
-  // Exactly the fields compiler::compile and Program::verify read — keep in
-  // lockstep with src/compiler/{mapping,codegen}.cpp and isa/program.cpp
-  // (tests/artifact_test.cpp pins the set from both directions).
-  json::Value v;
-  v["core_count"] = json::Value(cfg.core_count);
-  v["xbar_count"] = json::Value(cfg.core.matrix.xbar_count);
-  v["xbar_rows"] = json::Value(cfg.core.matrix.xbar.rows);
-  v["xbar_cols"] = json::Value(cfg.core.matrix.xbar.cols);
-  v["local_memory_bytes"] = json::Value(cfg.core.local_memory.size_bytes);
-  v["register_count"] = json::Value(cfg.core.register_count);
-  v["global_memory_bytes"] = json::Value(cfg.global_memory.size_bytes);
-  return v.dump();
-}
-
-uint64_t arch_key(const config::ArchConfig& cfg) { return fnv1a64(compile_relevant_arch(cfg)); }
-
 uint64_t options_key(const compiler::CompileOptions& copts) {
   json::Value v;
   v["policy"] = json::Value(
@@ -201,8 +184,8 @@ std::shared_ptr<const runtime::CompiledNetwork> Store::program(
   return get<runtime::CompiledNetwork>(
       &programs_, key, opt_.max_programs, &stats_.program_hits, &stats_.program_misses,
       [&] {
-        return std::make_shared<const runtime::CompiledNetwork>(
-            runtime::compile_network(handle.built->graph, cfg, copts));
+        return std::make_shared<const runtime::CompiledNetwork>(handle.built->graph, cfg,
+                                                                copts);
       });
 }
 

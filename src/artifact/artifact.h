@@ -48,16 +48,11 @@
 
 namespace pim::artifact {
 
-/// Canonical JSON of the ArchConfig fields compiler::compile (and the
-/// Program::verify pass codegen runs) actually read: core count, crossbar
-/// geometry and count, local-memory size, register-file size, global-memory
-/// size. Everything else — frequencies, energies, ROB size, NoC parameters,
-/// ADC/vector-unit settings, SimSettings — is simulation-side only, so two
-/// configurations differing solely in those share one compile identity.
-std::string compile_relevant_arch(const config::ArchConfig& cfg);
-
-/// fnv1a64 of compile_relevant_arch(cfg).
-uint64_t arch_key(const config::ArchConfig& cfg);
+/// The compile-relevant architecture fingerprint is a config-level fact
+/// (isa::Program::verify stamps its proofs with it); the store keys programs
+/// by it.
+using config::arch_key;
+using config::compile_relevant_arch;
 
 /// fnv1a64 over a canonical dump of every CompileOptions field (they all
 /// shape the generated program).

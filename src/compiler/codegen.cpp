@@ -783,10 +783,11 @@ class Codegen {
 }  // namespace
 
 isa::Program compile(const nn::Graph& graph, const config::ArchConfig& cfg,
-                     const CompileOptions& options, CompileReport* report) {
+                     const CompileOptions& options, CompileReport* report,
+                     std::optional<isa::VerifyProof>* proof) {
   Codegen cg(graph, cfg, options);
   isa::Program program = cg.run(report);
-  std::vector<std::string> errors = program.verify(cfg);
+  std::vector<std::string> errors = program.verify(cfg, proof);
   if (!errors.empty()) {
     std::string msg = "compiler produced an invalid program:\n";
     for (size_t i = 0; i < errors.size() && i < 10; ++i) msg += "  " + errors[i] + "\n";

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "compiler/mapping.h"
@@ -69,8 +70,12 @@ struct CompileReport {
 
 /// Compile `graph` for `cfg`. The graph must have shapes inferred and (for
 /// functional simulation) parameters initialized. Throws on infeasible
-/// mappings or local-memory overflow.
+/// mappings or local-memory overflow. The program is verified against `cfg`
+/// before it is returned; `proof`, when non-null, receives the proof of
+/// that check (see isa::VerifyProof), which stays valid for the returned
+/// program as long as nobody modifies it.
 isa::Program compile(const nn::Graph& graph, const config::ArchConfig& cfg,
-                     const CompileOptions& options = {}, CompileReport* report = nullptr);
+                     const CompileOptions& options = {}, CompileReport* report = nullptr,
+                     std::optional<isa::VerifyProof>* proof = nullptr);
 
 }  // namespace pim::compiler

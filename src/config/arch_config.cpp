@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "common/math_util.h"
+#include "common/strings.h"
 
 namespace pim::config {
 
@@ -332,5 +333,23 @@ ArchConfig ArchConfig::preset(const std::string& name) {
   if (name == "mnsim") return mnsim_like();
   throw std::invalid_argument("unknown --arch \"" + name + "\" (expected tiny|paper|mnsim)");
 }
+
+std::string compile_relevant_arch(const ArchConfig& cfg) {
+  // Exactly the fields compiler::compile and isa::Program::verify read —
+  // keep in lockstep with src/compiler/{mapping,codegen}.cpp and
+  // isa/program.cpp (tests/artifact_test.cpp pins the set from both
+  // directions).
+  json::Value v;
+  v["core_count"] = json::Value(cfg.core_count);
+  v["xbar_count"] = json::Value(cfg.core.matrix.xbar_count);
+  v["xbar_rows"] = json::Value(cfg.core.matrix.xbar.rows);
+  v["xbar_cols"] = json::Value(cfg.core.matrix.xbar.cols);
+  v["local_memory_bytes"] = json::Value(cfg.core.local_memory.size_bytes);
+  v["register_count"] = json::Value(cfg.core.register_count);
+  v["global_memory_bytes"] = json::Value(cfg.global_memory.size_bytes);
+  return v.dump();
+}
+
+uint64_t arch_key(const ArchConfig& cfg) { return fnv1a64(compile_relevant_arch(cfg)); }
 
 }  // namespace pim::config

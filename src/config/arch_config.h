@@ -172,4 +172,15 @@ struct ArchConfig {
   static ArchConfig preset(const std::string& name);
 };
 
+/// Canonical JSON of the ArchConfig fields compiler::compile and
+/// isa::Program::verify actually read: core count, crossbar geometry and
+/// count, local-memory size, register-file size, global-memory size.
+/// Everything else — frequencies, energies, ROB size, NoC parameters,
+/// ADC/vector-unit settings, SimSettings — is simulation-side only, so two
+/// configurations differing solely in those share one compile identity.
+std::string compile_relevant_arch(const ArchConfig& cfg);
+
+/// fnv1a64 of compile_relevant_arch(cfg).
+uint64_t arch_key(const ArchConfig& cfg);
+
 }  // namespace pim::config

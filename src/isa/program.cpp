@@ -1,24 +1,101 @@
 #include "isa/program.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
 
 #include "common/strings.h"
 #include "config/arch_config.h"
 
 namespace pim::isa {
 
-const GroupDef* CoreProgram::find_group(uint16_t id) const {
-  for (const GroupDef& g : groups) {
-    if (g.id == id) return &g;
+namespace {
+
+/// A local-memory byte range an instruction may read or write.
+struct LmRange {
+  uint32_t addr = 0;
+  uint64_t bytes = 0;
+  const char* what = "";  ///< operand name in verify's messages
+};
+
+/// The local-memory ranges `in` may touch, in the order verify() checks
+/// them, written to `out`; returns how many. `group` is the MVM's group and
+/// must be non-null for a matrix instruction.
+size_t lm_ranges(const Instruction& in, const GroupDef* group, LmRange (&out)[3]) {
+  size_t n = 0;
+  auto add = [&](uint32_t addr, uint64_t bytes, const char* what) {
+    out[n++] = LmRange{addr, bytes, what};
+  };
+  switch (in.cls()) {
+    case InstrClass::Matrix:
+      add(in.src1_addr, in.len, "mvm input");
+      add(in.dst_addr, 4ull * group->out_len, "mvm output");
+      break;
+    case InstrClass::Vector: {
+      add(in.dst_addr, in.bytes_out(), "vector dst");
+      const uint64_t src_elem = (in.op == Opcode::VDEQUANT) ? 1 : 4;
+      if (in.op != Opcode::VSET) add(in.src1_addr, in.len * src_elem, "vector src1");
+      if (!uses_vector_imm(in.op) && in.op != Opcode::VRELU && in.op != Opcode::VSIGMOID &&
+          in.op != Opcode::VTANH && in.op != Opcode::VMOV && in.op != Opcode::VDEQUANT &&
+          in.op != Opcode::VSET) {
+        add(in.src2_addr, in.len * 4ull, "vector src2");
+      }
+      break;
+    }
+    case InstrClass::Transfer: {
+      const uint64_t bytes = uint64_t{in.len} * dtype_size(in.dtype);
+      switch (in.op) {
+        case Opcode::SEND: add(in.src1_addr, bytes, "send src"); break;
+        case Opcode::RECV: add(in.dst_addr, bytes, "recv dst"); break;
+        case Opcode::GSTORE: add(in.src1_addr, bytes, "global transfer local side"); break;
+        default: add(in.dst_addr, bytes, "global transfer local side"); break;
+      }
+      break;
+    }
+    case InstrClass::Scalar:
+      break;
   }
-  return nullptr;
+  return n;
+}
+
+}  // namespace
+
+std::vector<const GroupDef*> CoreProgram::group_table() const {
+  uint16_t max_id = 0;
+  for (const GroupDef& g : groups) max_id = std::max(max_id, g.id);
+  std::vector<const GroupDef*> table(groups.empty() ? 0 : size_t{max_id} + 1, nullptr);
+  for (const GroupDef& g : groups) {
+    if (table[g.id] == nullptr) table[g.id] = &g;
+  }
+  return table;
 }
 
 uint32_t CoreProgram::xbars_used() const {
   uint32_t total = 0;
   for (const GroupDef& g : groups) total += g.xbar_count;
   return total;
+}
+
+uint64_t CoreProgram::lm_high_water() const {
+  uint64_t mark = 0;
+  for (const DataSegment& seg : lm_init) {
+    mark = std::max(mark, seg.addr + uint64_t{seg.bytes.size()});
+  }
+  const std::vector<const GroupDef*> table = group_table();
+  LmRange ranges[3];
+  for (const Instruction& in : code) {
+    const GroupDef* g = nullptr;
+    if (in.cls() == InstrClass::Matrix) {
+      g = in.group < table.size() ? table[in.group] : nullptr;
+      if (g == nullptr) continue;  // verify rejects it; nothing to size
+    }
+    const size_t n = lm_ranges(in, g, ranges);
+    for (size_t i = 0; i < n; ++i) mark = std::max(mark, ranges[i].addr + ranges[i].bytes);
+  }
+  return mark;
+}
+
+bool VerifyProof::covers(const Program& program, const config::ArchConfig& cfg) const {
+  return program.cores.data() == cores_ && program.cores.size() == core_count_ &&
+         config::arch_key(cfg) == arch_key_;
 }
 
 size_t Program::total_instructions() const {
@@ -33,7 +110,55 @@ size_t Program::total_groups() const {
   return n;
 }
 
-std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
+namespace {
+
+/// Bytes one core sends to (or receives from) another under one tag. The
+/// key packs (src, dst, tag) so that ordering keys orders the triples.
+struct Flow {
+  uint64_t key;
+  int64_t bytes;
+};
+
+uint64_t flow_key(uint16_t src, uint16_t dst, uint16_t tag) {
+  return (uint64_t{src} << 32) | (uint64_t{dst} << 16) | tag;
+}
+
+void add_flow(std::vector<Flow>& flows, uint64_t key, int64_t bytes) {
+  // Transfers of one layer repeat a key back to back; fold them here so the
+  // sort sees one entry per run.
+  if (!flows.empty() && flows.back().key == key) {
+    flows.back().bytes += bytes;
+  } else {
+    flows.push_back(Flow{key, bytes});
+  }
+}
+
+/// Sort by key and fold equal keys into one total.
+void merge_flows(std::vector<Flow>& flows) {
+  std::sort(flows.begin(), flows.end(),
+            [](const Flow& a, const Flow& b) { return a.key < b.key; });
+  size_t out = 0;
+  for (size_t i = 0; i < flows.size(); ++i) {
+    if (out > 0 && flows[out - 1].key == flows[i].key) {
+      flows[out - 1].bytes += flows[i].bytes;
+    } else {
+      flows[out++] = flows[i];
+    }
+  }
+  flows.resize(out);
+}
+
+/// The merged flow with `key`, or nullptr; `cursor` walks `flows` forward
+/// across calls with ascending keys.
+const Flow* find_flow(const std::vector<Flow>& flows, size_t& cursor, uint64_t key) {
+  while (cursor < flows.size() && flows[cursor].key < key) ++cursor;
+  return cursor < flows.size() && flows[cursor].key == key ? &flows[cursor] : nullptr;
+}
+
+}  // namespace
+
+std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
+                                         std::optional<VerifyProof>* proof) const {
   std::vector<std::string> errs;
   auto err = [&errs](std::string msg) { errs.push_back(std::move(msg)); };
 
@@ -44,9 +169,9 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
   const uint64_t lm_size = cfg.core.local_memory.size_bytes;
   const uint32_t xbar_rows = cfg.core.matrix.xbar.rows;
 
-  // (src, dst, tag) -> count, for SEND/RECV pairing.
-  std::map<std::tuple<uint16_t, uint16_t, uint16_t>, int64_t> send_bytes;
-  std::map<std::tuple<uint16_t, uint16_t, uint16_t>, int64_t> recv_bytes;
+  // SEND/RECV byte totals, paired by (src, dst, tag) after the walk.
+  std::vector<Flow> send_bytes;
+  std::vector<Flow> recv_bytes;
 
   for (size_t core_id = 0; core_id < cores.size(); ++core_id) {
     const CoreProgram& cp = cores[core_id];
@@ -54,13 +179,14 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
     if (cp.code.empty() && cp.groups.empty() && cp.lm_init.empty()) continue;
     auto loc = [&](size_t pc) { return strformat("core %zu pc %zu: ", core_id, pc); };
 
-    if (cp.xbars_used() > cfg.core.matrix.xbar_count) {
-      err(strformat("core %zu maps %u crossbars but only %u exist", core_id, cp.xbars_used(),
+    const uint32_t xbars = cp.xbars_used();
+    if (xbars > cfg.core.matrix.xbar_count) {
+      err(strformat("core %zu maps %u crossbars but only %u exist", core_id, xbars,
                     cfg.core.matrix.xbar_count));
     }
-    std::set<uint16_t> group_ids;
+    const std::vector<const GroupDef*> groups = cp.group_table();
     for (const GroupDef& g : cp.groups) {
-      if (!group_ids.insert(g.id).second) {
+      if (groups[g.id] != &g) {
         err(strformat("core %zu: duplicate group id %u", core_id, g.id));
       }
       if (g.in_len == 0 || g.out_len == 0) {
@@ -88,47 +214,32 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
       }
     }
 
+    LmRange ranges[3];
     for (size_t pc = 0; pc < cp.code.size(); ++pc) {
       const Instruction& in = cp.code[pc];
-      auto check_range = [&](uint32_t addr, uint64_t bytes, const char* what) {
-        if (addr + bytes > lm_size) {
-          err(loc(pc) + strformat("%s range [0x%x, +%llu) exceeds local memory (%llu bytes)",
-                                  what, addr, static_cast<unsigned long long>(bytes),
-                                  static_cast<unsigned long long>(lm_size)));
-        }
-      };
+      // Class checks first, then the local-memory ranges, then (global
+      // transfers) the global side: the order the messages come out in.
+      const GroupDef* g = nullptr;
       switch (in.cls()) {
         case InstrClass::Matrix: {
-          const GroupDef* g = cp.find_group(in.group);
+          g = in.group < groups.size() ? groups[in.group] : nullptr;
           if (g == nullptr) {
             err(loc(pc) + strformat("mvm references undefined group %u", in.group));
-            break;
+            continue;
           }
           if (in.len != g->in_len) {
             err(loc(pc) + strformat("mvm len %u != group %u in_len %u", in.len, in.group,
                                     g->in_len));
           }
           if (in.len == 0 || in.len > 0xFFFF) err(loc(pc) + "mvm len out of encodable range");
-          check_range(in.src1_addr, in.len, "mvm input");
-          check_range(in.dst_addr, 4ull * g->out_len, "mvm output");
           break;
         }
-        case InstrClass::Vector: {
+        case InstrClass::Vector:
           if (in.len == 0 || in.len > 0xFFF) {
             err(loc(pc) + strformat("vector len %u out of encodable range [1,4095]", in.len));
           }
-          check_range(in.dst_addr, in.bytes_out(), "vector dst");
-          const uint64_t src_elem = (in.op == Opcode::VDEQUANT) ? 1 : 4;
-          if (in.op != Opcode::VSET) check_range(in.src1_addr, in.len * src_elem, "vector src1");
-          if (!uses_vector_imm(in.op) && in.op != Opcode::VRELU && in.op != Opcode::VSIGMOID &&
-              in.op != Opcode::VTANH && in.op != Opcode::VMOV && in.op != Opcode::VDEQUANT &&
-              in.op != Opcode::VSET) {
-            check_range(in.src2_addr, in.len * 4, "vector src2");
-          }
           break;
-        }
-        case InstrClass::Transfer: {
-          const uint64_t bytes = uint64_t{in.len} * dtype_size(in.dtype);
+        case InstrClass::Transfer:
           if (in.op == Opcode::SEND || in.op == Opcode::RECV) {
             if (in.len == 0 || in.len > 0xFFFF) {
               err(loc(pc) + "transfer len out of encodable range [1,65535]");
@@ -142,28 +253,17 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
               // the unit the RECV needs). Local moves use VMOV.
               err(loc(pc) + "transfer peer is the issuing core (use vmov for local copies)");
             }
+            const auto self = static_cast<uint16_t>(core_id);
+            const auto bytes = static_cast<int64_t>(uint64_t{in.len} * dtype_size(in.dtype));
             if (in.op == Opcode::SEND) {
-              check_range(in.src1_addr, bytes, "send src");
-              send_bytes[{static_cast<uint16_t>(core_id), in.core, in.tag}] +=
-                  static_cast<int64_t>(bytes);
+              add_flow(send_bytes, flow_key(self, in.core, in.tag), bytes);
             } else {
-              check_range(in.dst_addr, bytes, "recv dst");
-              recv_bytes[{in.core, static_cast<uint16_t>(core_id), in.tag}] +=
-                  static_cast<int64_t>(bytes);
+              add_flow(recv_bytes, flow_key(in.core, self, in.tag), bytes);
             }
-          } else {
-            if (in.len == 0 || in.len > 0xFFF) {
-              err(loc(pc) + "global transfer len out of encodable range [1,4095]");
-            }
-            const uint32_t local = (in.op == Opcode::GSTORE) ? in.src1_addr : in.dst_addr;
-            check_range(local, bytes, "global transfer local side");
-            const uint64_t gaddr = static_cast<uint32_t>(in.imm);
-            if (gaddr + bytes > cfg.global_memory.size_bytes) {
-              err(loc(pc) + "global transfer exceeds global memory size");
-            }
+          } else if (in.len == 0 || in.len > 0xFFF) {
+            err(loc(pc) + "global transfer len out of encodable range [1,4095]");
           }
           break;
-        }
         case InstrClass::Scalar: {
           const bool is_branch = in.op == Opcode::JMP || in.op == Opcode::BEQ ||
                                  in.op == Opcode::BNE || in.op == Opcode::BLT ||
@@ -179,27 +279,52 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg) const {
           break;
         }
       }
+      const size_t n = lm_ranges(in, g, ranges);
+      for (size_t i = 0; i < n; ++i) {
+        const LmRange& r = ranges[i];
+        if (r.addr + r.bytes > lm_size) {
+          err(loc(pc) + strformat("%s range [0x%x, +%llu) exceeds local memory (%llu bytes)",
+                                  r.what, r.addr, static_cast<unsigned long long>(r.bytes),
+                                  static_cast<unsigned long long>(lm_size)));
+        }
+      }
+      if (in.op == Opcode::GLOAD || in.op == Opcode::GSTORE) {
+        const uint64_t gaddr = static_cast<uint32_t>(in.imm);
+        if (gaddr + uint64_t{in.len} * dtype_size(in.dtype) > cfg.global_memory.size_bytes) {
+          err(loc(pc) + "global transfer exceeds global memory size");
+        }
+      }
     }
   }
 
   // Every SEND must have a matching RECV moving the same byte count.
-  for (const auto& [key, bytes] : send_bytes) {
-    auto it = recv_bytes.find(key);
-    const auto& [src, dst, tag] = key;
-    if (it == recv_bytes.end()) {
+  merge_flows(send_bytes);
+  merge_flows(recv_bytes);
+  size_t cursor = 0;
+  for (const Flow& s : send_bytes) {
+    const auto src = static_cast<unsigned>(s.key >> 32);
+    const auto dst = static_cast<unsigned>((s.key >> 16) & 0xFFFF);
+    const auto tag = static_cast<unsigned>(s.key & 0xFFFF);
+    const Flow* r = find_flow(recv_bytes, cursor, s.key);
+    if (r == nullptr) {
       err(strformat("send core %u -> core %u tag %u has no matching recv", src, dst, tag));
-    } else if (it->second != bytes) {
+    } else if (r->bytes != s.bytes) {
       err(strformat("send/recv byte mismatch core %u -> core %u tag %u: %lld vs %lld", src,
-                    dst, tag, static_cast<long long>(bytes),
-                    static_cast<long long>(it->second)));
+                    dst, tag, static_cast<long long>(s.bytes),
+                    static_cast<long long>(r->bytes)));
     }
   }
-  for (const auto& [key, bytes] : recv_bytes) {
-    (void)bytes;
-    if (send_bytes.find(key) == send_bytes.end()) {
-      const auto& [src, dst, tag] = key;
-      err(strformat("recv core %u <- core %u tag %u has no matching send", dst, src, tag));
+  cursor = 0;
+  for (const Flow& r : recv_bytes) {
+    if (find_flow(send_bytes, cursor, r.key) == nullptr) {
+      err(strformat("recv core %u <- core %u tag %u has no matching send",
+                    static_cast<unsigned>((r.key >> 16) & 0xFFFF),
+                    static_cast<unsigned>(r.key >> 32), static_cast<unsigned>(r.key & 0xFFFF)));
     }
+  }
+  if (proof != nullptr) {
+    proof->reset();
+    if (errs.empty()) *proof = VerifyProof(cores.data(), cores.size(), config::arch_key(cfg));
   }
   return errs;
 }

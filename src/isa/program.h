@@ -4,9 +4,18 @@
 // crossbar *group table* — the paper's "mapping register" contents (Fig. 2c):
 // which crossbars form each logical matrix, the matrix dimensions, and (for
 // functional simulation) the quantized weights themselves.
+//
+// Who verifies: compiler::compile runs Program::verify once and mints a
+// VerifyProof, which runtime::CompiledNetwork keeps next to its (const)
+// program. arch::Chip re-verifies any program it gets without a proof that
+// covers it, so raw programs (simulate_program, pimsim on a program file)
+// are verified exactly once, by the chip, and compiled ones only by the
+// compiler.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -49,11 +58,46 @@ struct CoreProgram {
   std::vector<GroupDef> groups;
   std::vector<DataSegment> lm_init;
 
-  const GroupDef* find_group(uint16_t id) const;
+  /// Groups by id: slot `id` points at the first group with that id,
+  /// nullptr where none has it. Sized to the largest id + 1.
+  std::vector<const GroupDef*> group_table() const;
   /// Total crossbars used by all groups on this core.
   uint32_t xbars_used() const;
+  /// One past the highest local-memory byte this core's data segments and
+  /// instructions may touch, by the same ranges verify() checks. Every
+  /// local-memory operand is an immediate, so this static mark bounds every
+  /// access; a verified program's mark never exceeds the configured local
+  /// memory. Ranges are conservative where the element size depends on the
+  /// op (vector sources count 4 bytes per element except VDEQUANT's).
+  uint64_t lm_high_water() const;
 
   bool operator==(const CoreProgram&) const = default;
+};
+
+struct Program;
+
+/// Proof that one Program passed verify() with no violations under an
+/// architecture whose compile-relevant key (config::arch_key) it records.
+/// Only Program::verify mints one. It names the program by its core table,
+/// whose buffer moves with the Program but is not shared by copies, so it
+/// covers neither a copy nor a different program. Modifying a proven
+/// program voids the proof without the proof noticing, and a proof must
+/// not outlive its program: holders keep both together and the program
+/// const, as runtime::CompiledNetwork does.
+class VerifyProof {
+ public:
+  /// True when this proof is for `program` and `cfg` has the key it was
+  /// verified under, so verifying again under `cfg` would find nothing.
+  bool covers(const Program& program, const config::ArchConfig& cfg) const;
+
+ private:
+  friend struct Program;
+  VerifyProof(const CoreProgram* cores, size_t core_count, uint64_t arch_key)
+      : cores_(cores), core_count_(core_count), arch_key_(arch_key) {}
+
+  const CoreProgram* cores_;
+  size_t core_count_;
+  uint64_t arch_key_;
 };
 
 /// A compiled network: one CoreProgram per core (index == core id), plus
@@ -72,8 +116,12 @@ struct Program {
   ///  * SEND/RECV peers are valid core ids and pair up by (src,dst,tag),
   ///  * branch targets are in range, every core ends with HALT,
   ///  * vector/transfer length limits of the binary encoding are respected.
-  /// Returns the list of violations (empty == valid).
-  std::vector<std::string> verify(const config::ArchConfig& cfg) const;
+  /// Returns the list of violations (empty == valid). One pass over the
+  /// program plus a sort of its SEND/RECV flows. When `proof` is non-null
+  /// it receives a VerifyProof for `cfg` if the list is empty, and is reset
+  /// otherwise.
+  std::vector<std::string> verify(const config::ArchConfig& cfg,
+                                  std::optional<VerifyProof>* proof = nullptr) const;
 
   json::Value to_json(bool include_weights = true) const;
   static Program from_json(const json::Value& v);

@@ -65,11 +65,15 @@ json::Value Report::to_json() const {
   return v;
 }
 
-Report simulate_program(const isa::Program& program, const config::ArchConfig& cfg,
-                        const std::vector<int8_t>* input_bytes, uint64_t input_gaddr,
-                        uint64_t output_gaddr, size_t output_elems,
-                        telemetry::TraceSink* trace) {
-  arch::Chip chip(cfg, program, trace);
+namespace {
+
+/// simulate_program's body; `proof`, when it covers `program` under `cfg`,
+/// spares the chip its verify.
+Report run_program(const isa::Program& program, const isa::VerifyProof* proof,
+                   const config::ArchConfig& cfg, const std::vector<int8_t>* input_bytes,
+                   uint64_t input_gaddr, uint64_t output_gaddr, size_t output_elems,
+                   telemetry::TraceSink* trace) {
+  arch::Chip chip(cfg, program, trace, proof);
   if (input_bytes != nullptr) {
     chip.write_global(input_gaddr,
                       std::span<const uint8_t>(
@@ -103,16 +107,32 @@ Report simulate_program(const isa::Program& program, const config::ArchConfig& c
   return report;
 }
 
-CompiledNetwork compile_network(const nn::Graph& graph, const config::ArchConfig& cfg,
-                                const compiler::CompileOptions& copts) {
-  CompiledNetwork net;
-  net.copts = copts;
-  net.program = compiler::compile(graph, cfg, copts, &net.compile);
+}  // namespace
+
+Report simulate_program(const isa::Program& program, const config::ArchConfig& cfg,
+                        const std::vector<int8_t>* input_bytes, uint64_t input_gaddr,
+                        uint64_t output_gaddr, size_t output_elems,
+                        telemetry::TraceSink* trace) {
+  return run_program(program, nullptr, cfg, input_bytes, input_gaddr, output_gaddr,
+                     output_elems, trace);
+}
+
+CompiledNetwork::CompiledNetwork(const nn::Graph& graph, const config::ArchConfig& cfg,
+                                 const compiler::CompileOptions& options)
+    : copts(options), program(compiler::compile(graph, cfg, options, &compile, &proof_)) {
   const std::vector<int32_t> outs = graph.outputs();
   if (outs.size() == 1) {
-    net.output_elems_per_image = static_cast<size_t>(graph.layer(outs[0]).out_shape.elems());
+    output_elems_per_image = static_cast<size_t>(graph.layer(outs[0]).out_shape.elems());
   }
-  return net;
+}
+
+bool CompiledNetwork::proven_for(const config::ArchConfig& cfg) const {
+  return proof_.has_value() && proof_->covers(program, cfg);
+}
+
+CompiledNetwork compile_network(const nn::Graph& graph, const config::ArchConfig& cfg,
+                                const compiler::CompileOptions& copts) {
+  return CompiledNetwork(graph, cfg, copts);
 }
 
 Report simulate_compiled(const CompiledNetwork& net, const config::ArchConfig& cfg,
@@ -130,8 +150,9 @@ Report simulate_compiled(const CompiledNetwork& net, const config::ArchConfig& c
     }
     in_ptr = &input_bytes;
   }
-  Report report = simulate_program(net.program, cfg, in_ptr, net.copts.input_gaddr,
-                                   net.copts.output_gaddr, output_elems, trace);
+  Report report = run_program(net.program, net.proof_ ? &*net.proof_ : nullptr, cfg, in_ptr,
+                              net.copts.input_gaddr, net.copts.output_gaddr, output_elems,
+                              trace);
   report.compile = net.compile;
   return report;
 }

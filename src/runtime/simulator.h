@@ -44,14 +44,47 @@ struct Report {
   json::Value to_json() const;
 };
 
+struct CompiledNetwork;
+
+/// Back half of simulate_network: simulate an already-compiled network on
+/// `cfg`. When `input` is provided it is replicated per batch position and
+/// `report.output` holds the simulated network output. `trace`, when
+/// non-null, records the run's structural timeline (core units, NoC links,
+/// per-layer phases); tracing never changes the Report. The chip skips
+/// re-verifying the program when `cfg` has the compile-relevant key it was
+/// compiled (and verified) under, and verifies it as simulate_program does
+/// otherwise.
+Report simulate_compiled(const CompiledNetwork& net, const config::ArchConfig& cfg,
+                         const nn::Tensor* input = nullptr,
+                         telemetry::TraceSink* trace = nullptr);
+
 /// A compiled network: the program plus the compile-time facts the simulate
 /// half needs. Immutable once built — safe to share across threads and to
 /// reuse under any configuration whose compile-relevant fields (see
-/// artifact::compile_relevant_arch) match the one it was compiled for.
+/// config::compile_relevant_arch) match the one it was compiled for.
 struct CompiledNetwork {
-  isa::Program program;
+  /// Compile `graph` under `options` for `cfg` (what compile_network does).
+  CompiledNetwork(const nn::Graph& graph, const config::ArchConfig& cfg,
+                  const compiler::CompileOptions& options);
+
+  /// True when simulate_compiled under `cfg` skips re-verifying: the
+  /// compiler's proof covers this object's program under `cfg`'s
+  /// compile-relevant key. A copy re-verifies (the proof names the
+  /// original's program).
+  bool proven_for(const config::ArchConfig& cfg) const;
+
+ private:
+  friend Report simulate_compiled(const CompiledNetwork&, const config::ArchConfig&,
+                                  const nn::Tensor*, telemetry::TraceSink*);
+  /// The compiler's verify proof for `program` (declared first: compile
+  /// fills it while `program` is built).
+  std::optional<isa::VerifyProof> proof_;
+
+ public:
   compiler::CompileReport compile;
   compiler::CompileOptions copts;  ///< options the program was built under
+  /// Const: the proof above covers exactly these contents.
+  const isa::Program program;
   /// Output elements of one image (the single output layer's elems); 0 when
   /// the graph does not have exactly one output and nothing is read back.
   size_t output_elems_per_image = 0;
@@ -60,15 +93,6 @@ struct CompiledNetwork {
 /// Front half of simulate_network: compile `graph` under `copts` for `cfg`.
 CompiledNetwork compile_network(const nn::Graph& graph, const config::ArchConfig& cfg,
                                 const compiler::CompileOptions& copts = {});
-
-/// Back half of simulate_network: simulate an already-compiled network on
-/// `cfg`. When `input` is provided it is replicated per batch position and
-/// `report.output` holds the simulated network output. `trace`, when
-/// non-null, records the run's structural timeline (core units, NoC links,
-/// per-layer phases); tracing never changes the Report.
-Report simulate_compiled(const CompiledNetwork& net, const config::ArchConfig& cfg,
-                         const nn::Tensor* input = nullptr,
-                         telemetry::TraceSink* trace = nullptr);
 
 /// End-to-end: compile `graph` under `copts`, simulate on `cfg`, return the
 /// report. When `input` is provided the run is functional and

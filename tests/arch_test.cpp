@@ -1,11 +1,16 @@
 // Unit tests for the cycle-accurate architecture model: NoC routing and
 // contention, core execution of hand-written ISA programs (all four units),
-// hazards, rendezvous transfers, global memory, deadlock detection.
+// hazards, rendezvous transfers, global memory, deadlock detection, chips
+// sized to their program, and how a run that stops early is logged.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "arch/chip.h"
+#include "common/logging.h"
 #include "config/arch_config.h"
 #include "isa/assembler.h"
 
@@ -448,6 +453,49 @@ TEST(Transfer, MismatchedRecvDeadlocksAndIsReported) {
   EXPECT_FALSE(chip.finished());
 }
 
+TEST(Transfer, SendLargerThanItsRecvDeliversOnlyTheRecvRange) {
+  // verify pairs byte totals per (src, dst, tag), and the rendezvous pairs
+  // instructions in FIFO order: the 16-byte tag-2 send meets the 8-byte
+  // tag-1 recv at the top of core 1's local memory. Only the 8 bytes that
+  // recv reserved may land there.
+  Program p = empty_program(2);
+  isa::DataSegment seg;
+  seg.addr = 0;
+  for (uint8_t i = 0; i < 24; ++i) seg.bytes.push_back(static_cast<uint8_t>(i + 1));
+  p.cores[0].lm_init.push_back(seg);
+  Instruction small = make(Opcode::SEND);
+  small.core = 1;
+  small.tag = 1;
+  small.len = 8;
+  Instruction large = small;
+  large.tag = 2;
+  large.src1_addr = 8;
+  large.len = 16;
+  p.cores[0].code = {small, large};
+  push_halt(p, 0);
+  Instruction first = make(Opcode::RECV);
+  first.core = 0;
+  first.tag = 2;
+  first.len = 16;
+  Instruction second = first;
+  second.tag = 1;
+  second.dst_addr = 0x10;
+  second.len = 8;
+  p.cores[1].code = {first, second};
+  push_halt(p, 1);
+  ASSERT_TRUE(p.verify(tiny_cfg()).empty());
+  ASSERT_EQ(p.cores[1].lm_high_water(), 0x18u);
+  Chip chip(tiny_cfg(), p);
+  chip.run();
+  EXPECT_TRUE(chip.finished());
+  const std::vector<uint8_t>& lm = chip.core(1).lm();
+  ASSERT_EQ(lm.size(), 0x18u);
+  for (size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(lm[i], i + 1) << i;             // the small send, into `first`
+    EXPECT_EQ(lm[0x10 + i], i + 9) << i;      // the large send's first 8 bytes
+  }
+}
+
 TEST(Transfer, GloadGstoreRoundTripThroughGlobalMemory) {
   Program p = empty_program(4);
   Instruction gl = make(Opcode::GLOAD);
@@ -612,6 +660,146 @@ TEST(Chip, StaticEnergyScalesWithTime) {
   EXPECT_NEAR(stats.energy.get(Component::Static),
               chip.static_power_mw() * static_cast<double>(stats.total_ps) * 1e-3,
               stats.energy.get(Component::Static) * 1e-9);
+}
+
+// ------------------------------------------------------------- chip sizing
+
+/// Core 0 sends an 8-byte data segment to core 5, which adds it to itself;
+/// every other core of the chip has no code.
+Program two_core_program(size_t cores) {
+  Program p = empty_program(cores);
+  isa::DataSegment seg;
+  seg.addr = 0x100;
+  seg.bytes = {1, 2, 3, 4, 5, 6, 7, 8};
+  p.cores[0].lm_init.push_back(seg);
+  Instruction snd = make(Opcode::SEND);
+  snd.core = 5;
+  snd.src1_addr = 0x100;
+  snd.len = 8;
+  p.cores[0].code.push_back(snd);
+  push_halt(p, 0);
+  Instruction rcv = make(Opcode::RECV);
+  rcv.core = 0;
+  rcv.dst_addr = 0x2000;
+  rcv.len = 8;
+  Instruction add = make(Opcode::VADD);
+  add.dst_addr = 0x2000;
+  add.src1_addr = 0x2000;
+  add.src2_addr = 0x2000;
+  add.len = 8;
+  p.cores[5].code = {rcv, add};
+  push_halt(p, 5);
+  return p;
+}
+
+TEST(ChipSizing, FunctionalChipModelsOnlyCoresWithCodeAtTheirHighWater) {
+  config::ArchConfig cfg = config::ArchConfig::paper_default();  // 64 cores x 4 MB
+  cfg.sim.functional = true;
+  const Program p = two_core_program(cfg.core_count);
+  telemetry::TraceSink trace;
+  Chip chip(cfg, p, &trace);
+  // Core 0 touches [0x100, +8); core 5's vadd checks its sources at 4 bytes
+  // per element, so [0x2000, +32).
+  EXPECT_EQ(p.cores[0].lm_high_water(), 0x108u);
+  EXPECT_EQ(p.cores[5].lm_high_water(), 0x2020u);
+  EXPECT_EQ(chip.core(0).lm().size(), p.cores[0].lm_high_water());
+  EXPECT_EQ(chip.core(5).lm().size(), p.cores[5].lm_high_water());
+  for (uint16_t id = 0; id < cfg.core_count; ++id) {
+    if (id == 0 || id == 5) continue;
+    EXPECT_THROW(chip.core(id), std::out_of_range) << "core " << id << " has no code";
+  }
+  const RunStats stats = chip.run();
+  ASSERT_TRUE(chip.finished());
+  EXPECT_EQ(stats.cores.size(), cfg.core_count);  // reports keep every core
+  EXPECT_EQ(stats.cores[5].bytes_received, 8u);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(chip.core(5).lm()[0x2000 + static_cast<size_t>(i)], 2 * (i + 1));
+  }
+  // Cores without a model get no trace rows either.
+  const std::string doc = trace.to_json().dump();
+  EXPECT_NE(doc.find("core5/vector"), std::string::npos);
+  EXPECT_EQ(doc.find("\"core1/"), std::string::npos);
+}
+
+TEST(ChipSizing, TimingOnlyChipAllocatesNoLocalMemory) {
+  config::ArchConfig cfg = tiny_cfg();
+  cfg.core_count = 8;
+  cfg.mesh_width = 4;
+  cfg.mesh_height = 2;
+  cfg.sim.functional = false;
+  const Program p = two_core_program(6);
+  Chip chip(cfg, p);
+  EXPECT_TRUE(chip.core(0).lm().empty());
+  EXPECT_TRUE(chip.core(5).lm().empty());
+  EXPECT_THROW(chip.core(7), std::out_of_range);  // beyond the program's cores
+  chip.run();
+  EXPECT_TRUE(chip.finished());
+}
+
+// ------------------------------------------------------ early-stop logging
+
+std::string read_file(const std::string& path) {
+  std::ifstream f(path);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+TEST(ChipLog, BudgetStopIsDebugAndDeadlockIsError) {
+  const std::string path = ::testing::TempDir() + "pim_chip_log.txt";
+  std::remove(path.c_str());
+  const log::Level saved = log::level();
+  log::set_level(log::Level::Debug);
+  log::set_sink_file(path);
+
+  // A spin loop cut short by the simulated-time budget: events remain.
+  Program spin = empty_program(1);
+  spin.cores[0].code = isa::assemble(R"(
+      ldi r1, 1000000
+      ldi r2, 0
+    loop:
+      saddi r2, r2, 1
+      bne r2, r1, loop
+      halt
+  )").cores[0].code;
+  config::ArchConfig budget = tiny_cfg();
+  budget.sim.max_time_ps = 1'000'000;
+  Chip stopped(budget, spin);
+  stopped.run();
+  EXPECT_FALSE(stopped.finished());
+  const std::string after_budget = read_file(path);
+
+  // Each core RECVs before it SENDs to the other: the program verifies
+  // (flows pair up) but both transfer units wait forever; the queue drains.
+  Program cycle = empty_program(2);
+  for (uint16_t c = 0; c < 2; ++c) {
+    Instruction rcv = make(Opcode::RECV);
+    rcv.core = static_cast<uint16_t>(1 - c);
+    rcv.tag = static_cast<uint16_t>(1 - c);
+    rcv.len = 4;
+    Instruction snd = make(Opcode::SEND);
+    snd.core = static_cast<uint16_t>(1 - c);
+    snd.tag = c;
+    snd.len = 4;
+    cycle.cores[c].code = {rcv, snd};
+    push_halt(cycle, c);
+  }
+  Chip deadlocked(tiny_cfg(), cycle);
+  deadlocked.run();
+  EXPECT_FALSE(deadlocked.finished());
+  const std::string after_deadlock = read_file(path);
+
+  log::set_sink_file("");
+  log::set_level(saved);
+  std::remove(path.c_str());
+
+  EXPECT_NE(after_budget.find("[DEBUG] simulation stopped at its time limit"),
+            std::string::npos)
+      << after_budget;
+  EXPECT_EQ(after_budget.find("[ERROR]"), std::string::npos) << after_budget;
+  const std::string deadlock_log = after_deadlock.substr(after_budget.size());
+  EXPECT_NE(deadlock_log.find("[ERROR] simulation deadlocked"), std::string::npos)
+      << deadlock_log;
 }
 
 }  // namespace

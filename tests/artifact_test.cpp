@@ -1,14 +1,17 @@
 // pim::artifact — the compile-once/simulate-many store: compile-relevant
 // arch keying, single-flight build sharing under concurrency, LRU eviction,
-// bit-identity of cached-compile simulation against the direct path, and
-// the evaluator fingerprint/build TOCTOU regression the layer closes.
+// bit-identity of cached-compile simulation against the direct path, the
+// evaluator fingerprint/build TOCTOU regression the layer closes, and the
+// verify proofs compiled programs carry.
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "arch/chip.h"
 #include "artifact/artifact.h"
 #include "config/arch_config.h"
 #include "dse/evaluator.h"
@@ -97,6 +100,90 @@ TEST(ArchKey, EveryCompileRelevantFieldChangesTheKey) {
     c.global_memory.size_bytes *= 2;
     expect_new_key(c, "global_memory.size_bytes");
   }
+}
+
+// ----------------------------------------------------------- verify proofs
+
+TEST(VerifyProof, CompiledNetworkUnderAnotherKeyStillVerifies) {
+  const workload::BuiltWorkload built =
+      workload::build(workload::parse_workload_token("tiny_cnn", 8), /*init_params=*/false);
+  config::ArchConfig cfg = config::ArchConfig::tiny();
+  cfg.sim.functional = false;
+  compiler::CompileOptions copts;
+  copts.include_weights = false;
+  const runtime::CompiledNetwork net = runtime::compile_network(built.graph, cfg, copts);
+
+  config::ArchConfig sim_only = cfg;
+  sim_only.core.rob_size *= 2;
+  sim_only.noc.hop_latency_cycles += 1;
+  EXPECT_TRUE(net.proven_for(cfg));
+  EXPECT_TRUE(net.proven_for(sim_only));
+
+  // Another key the program no longer fits: the chip verifies, and the
+  // error is the one a raw program gets.
+  config::ArchConfig small = cfg;
+  small.core.local_memory.size_bytes = 256;
+  EXPECT_FALSE(net.proven_for(small));
+  const std::vector<std::string> errors = net.program.verify(small);
+  ASSERT_FALSE(errors.empty());
+  std::string via_network;
+  std::string via_program;
+  try {
+    runtime::simulate_compiled(net, small);
+  } catch (const std::invalid_argument& e) {
+    via_network = e.what();
+  }
+  try {
+    runtime::simulate_program(net.program, small);
+  } catch (const std::invalid_argument& e) {
+    via_program = e.what();
+  }
+  EXPECT_EQ(via_network.rfind("program verification failed:\n  " + errors[0] + "\n", 0), 0u)
+      << via_network;
+  EXPECT_EQ(via_network, via_program);
+
+  // Another key the program still fits verifies and runs as a raw program.
+  config::ArchConfig roomy = cfg;
+  roomy.global_memory.size_bytes *= 2;
+  EXPECT_FALSE(net.proven_for(roomy));
+  EXPECT_EQ(runtime::simulate_compiled(net, roomy).to_json().dump(),
+            runtime::simulate_program(net.program, roomy).to_json().dump());
+
+  // A copy has its own program, which the proof does not name.
+  const runtime::CompiledNetwork copy = net;
+  EXPECT_FALSE(copy.proven_for(cfg));
+  EXPECT_EQ(runtime::simulate_compiled(copy, cfg).to_json().dump(),
+            runtime::simulate_compiled(net, cfg).to_json().dump());
+}
+
+TEST(VerifyProof, CoveringProofMeansTheChipNeverVerifies) {
+  const workload::BuiltWorkload built =
+      workload::build(workload::parse_workload_token("mlp", 8), /*init_params=*/false);
+  const config::ArchConfig cfg = config::ArchConfig::tiny();
+  isa::Program program = compiler::compile(built.graph, cfg);
+  std::optional<isa::VerifyProof> proof;
+  ASSERT_TRUE(program.verify(cfg, &proof).empty());
+  ASSERT_TRUE(proof.has_value());
+
+  // Break the program after it was proven. The proof cannot notice (which
+  // is why CompiledNetwork keeps its program const), so a chip that skips
+  // verify builds anyway, and one that verifies throws.
+  program.cores[0].code.pop_back();  // no HALT
+  ASSERT_FALSE(program.verify(cfg).empty());
+  config::ArchConfig sim_only = cfg;
+  sim_only.core.rob_size = 3;
+  sim_only.sim.max_time_ps = 5'000'000;
+  EXPECT_NO_THROW(arch::Chip(sim_only, program, nullptr, &*proof));
+  EXPECT_THROW(arch::Chip(sim_only, program), std::invalid_argument);
+  config::ArchConfig other_key = cfg;
+  other_key.core.register_count = 16;
+  EXPECT_THROW(arch::Chip(other_key, program, nullptr, &*proof), std::invalid_argument);
+  const isa::Program copy = program;
+  EXPECT_THROW(arch::Chip(cfg, copy, nullptr, &*proof), std::invalid_argument);
+
+  // A verify that finds violations mints nothing.
+  EXPECT_FALSE(program.verify(cfg, &proof).empty());
+  EXPECT_FALSE(proof.has_value());
 }
 
 // ------------------------------------------------------------ store basics

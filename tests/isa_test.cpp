@@ -2,6 +2,9 @@
 // program container and structural verifier.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "config/arch_config.h"
 #include "isa/assembler.h"
 #include "isa/isa.h"
@@ -411,6 +414,255 @@ TEST(ProgramVerify, CatchesTooManyXbars) {
   EXPECT_FALSE(p.verify(cfg).empty());
 }
 
+// ----------------------------------------------------- verify golden table
+//
+// Broken programs on `tiny` (4 cores, 64 KB local memory, 16 crossbars of
+// 32x32 per core) and the exact violation lists verify reports for them:
+// messages, and their order, are part of verify's contract (tools print
+// them, tests and users grep them).
+
+Instruction bare(Opcode o) {
+  Instruction in;
+  in.op = o;
+  return in;
+}
+
+Instruction mvm_op(uint16_t group, uint32_t src, uint32_t dst, uint32_t len) {
+  Instruction in = bare(Opcode::MVM);
+  in.group = group;
+  in.src1_addr = src;
+  in.dst_addr = dst;
+  in.len = len;
+  return in;
+}
+
+Instruction transfer_op(Opcode o, uint16_t peer, uint16_t tag, uint32_t addr, uint32_t len) {
+  Instruction in = bare(o);
+  in.core = peer;
+  in.tag = tag;
+  in.len = len;
+  if (o == Opcode::SEND || o == Opcode::GSTORE) {
+    in.src1_addr = addr;
+  } else {
+    in.dst_addr = addr;
+  }
+  return in;
+}
+
+GroupDef group_def(uint16_t id, uint32_t in_len, uint32_t out_len, uint32_t xbars = 1) {
+  GroupDef g;
+  g.id = id;
+  g.in_len = in_len;
+  g.out_len = out_len;
+  g.xbar_count = xbars;
+  return g;
+}
+
+void halt_nonempty_cores(Program& p) {
+  for (CoreProgram& cp : p.cores) {
+    if (!cp.code.empty() || !cp.groups.empty()) cp.code.push_back(bare(Opcode::HALT));
+  }
+}
+
+Program duplicate_and_undefined_groups() {
+  Program p;
+  p.cores.resize(3);
+  CoreProgram& c0 = p.cores[0];
+  c0.groups = {group_def(3, 16, 16), group_def(3, 8, 8), group_def(5, 16, 16), group_def(3, 4, 4),
+               group_def(9, 0, 4), group_def(11, 40, 4)};
+  c0.groups.back().weights.assign(7, int8_t{1});
+  c0.code = {mvm_op(3, 0, 0x100, 16), mvm_op(4, 0, 0x200, 16), mvm_op(5, 0, 0x300, 8),
+             mvm_op(7, 0, 0x400, 16)};
+  CoreProgram& c2 = p.cores[2];
+  c2.groups = {group_def(1, 8, 8), group_def(0, 8, 8), group_def(1, 8, 8)};
+  c2.code = {mvm_op(2, 0, 0x40, 8), mvm_op(1, 0, 0x40, 8), mvm_op(0, 0, 0x80, 8)};
+  halt_nonempty_cores(p);
+  return p;
+}
+
+Program unmatched_sends_and_recvs() {
+  Program p;
+  p.cores.resize(4);
+  // Core 0 sends to 1 under tag 1 twice (16 bytes total), split around other
+  // traffic; core 1 receives those 16 bytes in one RECV.
+  p.cores[0].code = {transfer_op(Opcode::SEND, 1, 1, 0, 8), transfer_op(Opcode::SEND, 2, 5, 0, 4),
+                     transfer_op(Opcode::SEND, 1, 1, 0, 8), transfer_op(Opcode::SEND, 3, 7, 0, 4),
+                     transfer_op(Opcode::SEND, 1, 2, 0, 4)};
+  p.cores[1].code = {transfer_op(Opcode::RECV, 0, 1, 0, 16), transfer_op(Opcode::RECV, 3, 4, 0, 4),
+                     transfer_op(Opcode::RECV, 2, 9, 0, 4), transfer_op(Opcode::SEND, 2, 9, 0, 4)};
+  p.cores[2].code = {transfer_op(Opcode::RECV, 0, 6, 0, 4), transfer_op(Opcode::RECV, 1, 9, 0x10, 4),
+                     transfer_op(Opcode::SEND, 1, 8, 0, 4)};
+  p.cores[3].code = {transfer_op(Opcode::RECV, 0, 7, 0, 4), transfer_op(Opcode::SEND, 0, 3, 0, 4),
+                     transfer_op(Opcode::RECV, 2, 2, 0, 4)};
+  halt_nonempty_cores(p);
+  return p;
+}
+
+Program byte_mismatches() {
+  Program p;
+  p.cores.resize(4);
+  p.cores[0].code = {transfer_op(Opcode::SEND, 1, 0, 0, 8), transfer_op(Opcode::SEND, 3, 2, 0, 12)};
+  p.cores[1].code = {transfer_op(Opcode::RECV, 0, 0, 0, 16)};
+  p.cores[3].code = {transfer_op(Opcode::RECV, 0, 2, 0, 6), transfer_op(Opcode::RECV, 0, 2, 0x20, 6),
+                     transfer_op(Opcode::SEND, 2, 1, 0, 4)};
+  p.cores[2].code = {transfer_op(Opcode::RECV, 3, 1, 0, 4)};
+  p.cores[2].code.front().dtype = DType::I32;  // 16 bytes against 4
+  halt_nonempty_cores(p);
+  return p;
+}
+
+Program branches_out_of_range() {
+  Program p;
+  p.cores.resize(2);
+  Instruction jmp = bare(Opcode::JMP);
+  jmp.imm = 100;
+  Instruction beq = bare(Opcode::BEQ);
+  beq.imm = -1;
+  Instruction bne = bare(Opcode::BNE);
+  bne.imm = 4;  // == code size once HALT is appended
+  Instruction blt = bare(Opcode::BLT);
+  blt.imm = 0;  // in range
+  p.cores[0].code = {jmp, beq, blt, bne};
+  Instruction bge = bare(Opcode::BGE);
+  bge.imm = 2;
+  bge.rs1 = 40;  // register out of range too
+  p.cores[1].code = {bge};
+  halt_nonempty_cores(p);
+  return p;
+}
+
+Program local_memory_overflows() {
+  const uint32_t lm = 64 * 1024;
+  Program p;
+  p.cores.resize(3);
+  CoreProgram& c0 = p.cores[0];
+  c0.groups = {group_def(0, 32, 32)};
+  DataSegment seg;
+  seg.addr = lm - 4;
+  seg.bytes.assign(8, 0);
+  c0.lm_init = {seg};
+  Instruction vmov = bare(Opcode::VMOV);
+  vmov.dst_addr = lm - 4;
+  vmov.src1_addr = lm - 8;
+  vmov.len = 64;
+  Instruction vadd = bare(Opcode::VADD);
+  vadd.dtype = DType::I32;
+  vadd.dst_addr = 0;
+  vadd.src1_addr = 0x100;
+  vadd.src2_addr = lm - 16;
+  vadd.len = 8;
+  Instruction vset = bare(Opcode::VSET);
+  vset.dst_addr = lm;
+  vset.src1_addr = lm;  // never read: vset has no source
+  vset.len = 1;
+  c0.code = {mvm_op(0, lm - 16, lm - 64, 32), vmov, vadd, vset};
+  CoreProgram& c1 = p.cores[1];
+  c1.code = {transfer_op(Opcode::SEND, 2, 0, lm - 2, 4), transfer_op(Opcode::GLOAD, 0, 0, lm - 1, 2),
+             transfer_op(Opcode::GSTORE, 0, 0, 0, 8)};
+  c1.code[2].imm = -4;  // 0xfffffffc: past global memory
+  CoreProgram& c2 = p.cores[2];
+  c2.code = {transfer_op(Opcode::RECV, 1, 0, lm, 4)};
+  halt_nonempty_cores(p);
+  return p;
+}
+
+Program everything_at_once() {
+  Program p = duplicate_and_undefined_groups();
+  p.cores.resize(6);  // tiny has 4 cores
+  Program b = byte_mismatches();
+  for (size_t c = 0; c < b.cores.size(); ++c) {
+    CoreProgram& dst = p.cores[c];
+    if (!dst.code.empty()) dst.code.pop_back();
+    dst.code.insert(dst.code.end(), b.cores[c].code.begin(), b.cores[c].code.end());
+  }
+  p.cores[3].code.pop_back();  // missing HALT
+  Instruction self = transfer_op(Opcode::SEND, 3, 4, 0, 0);  // to itself, zero length
+  p.cores[3].code.push_back(self);
+  p.cores[5].code = {transfer_op(Opcode::SEND, 9, 1, 0, 4), bare(Opcode::HALT)};
+  return p;
+}
+
+struct GoldenCase {
+  const char* name;
+  Program (*build)();
+  std::vector<std::string> errors;
+};
+
+TEST(ProgramVerify, GoldenErrorLists) {
+  const config::ArchConfig cfg = config::ArchConfig::tiny();
+  const GoldenCase cases[] = {
+      {"duplicate_and_undefined_groups",
+       duplicate_and_undefined_groups,
+       {"core 0: duplicate group id 3",
+        "core 0: duplicate group id 3",
+        "core 0 group 9: empty matrix slice",
+        "core 0 group 11: in_len 40 exceeds crossbar rows 32",
+        "core 0 group 11: weight blob size 7 != 40 x 4",
+        "core 0 pc 1: mvm references undefined group 4",
+        "core 0 pc 2: mvm len 8 != group 5 in_len 16",
+        "core 0 pc 3: mvm references undefined group 7",
+        "core 2: duplicate group id 1",
+        "core 2 pc 0: mvm references undefined group 2"}},
+      {"unmatched_sends_and_recvs",
+       unmatched_sends_and_recvs,
+       {"send core 0 -> core 1 tag 2 has no matching recv",
+        "send core 0 -> core 2 tag 5 has no matching recv",
+        "send core 2 -> core 1 tag 8 has no matching recv",
+        "send core 3 -> core 0 tag 3 has no matching recv",
+        "recv core 2 <- core 0 tag 6 has no matching send",
+        "recv core 1 <- core 2 tag 9 has no matching send",
+        "recv core 3 <- core 2 tag 2 has no matching send",
+        "recv core 1 <- core 3 tag 4 has no matching send"}},
+      {"byte_mismatches",
+       byte_mismatches,
+       {"send/recv byte mismatch core 0 -> core 1 tag 0: 8 vs 16",
+        "send/recv byte mismatch core 3 -> core 2 tag 1: 4 vs 16"}},
+      {"branches_out_of_range",
+       branches_out_of_range,
+       {"core 0 pc 0: branch target 100 out of range",
+        "core 0 pc 1: branch target -1 out of range",
+        "core 1 pc 0: branch target 2 out of range",
+        "core 1 pc 0: register index out of range"}},
+      {"local_memory_overflows",
+       local_memory_overflows,
+       {"core 0: data segment [0xfffc, +8) exceeds local memory",
+        "core 0 pc 0: mvm input range [0xfff0, +32) exceeds local memory (65536 bytes)",
+        "core 0 pc 0: mvm output range [0xffc0, +128) exceeds local memory (65536 bytes)",
+        "core 0 pc 1: vector dst range [0xfffc, +64) exceeds local memory (65536 bytes)",
+        "core 0 pc 1: vector src1 range [0xfff8, +256) exceeds local memory (65536 bytes)",
+        "core 0 pc 2: vector src2 range [0xfff0, +32) exceeds local memory (65536 bytes)",
+        "core 0 pc 3: vector dst range [0x10000, +1) exceeds local memory (65536 bytes)",
+        "core 1 pc 0: send src range [0xfffe, +4) exceeds local memory (65536 bytes)",
+        "core 1 pc 1: global transfer local side range [0xffff, +2) exceeds local memory (65536 bytes)",
+        "core 1 pc 2: global transfer exceeds global memory size",
+        "core 2 pc 0: recv dst range [0x10000, +4) exceeds local memory (65536 bytes)"}},
+      {"everything_at_once",
+       everything_at_once,
+       {"program uses 6 cores but architecture has 4",
+        "core 0: duplicate group id 3",
+        "core 0: duplicate group id 3",
+        "core 0 group 9: empty matrix slice",
+        "core 0 group 11: in_len 40 exceeds crossbar rows 32",
+        "core 0 group 11: weight blob size 7 != 40 x 4",
+        "core 0 pc 1: mvm references undefined group 4",
+        "core 0 pc 2: mvm len 8 != group 5 in_len 16",
+        "core 0 pc 3: mvm references undefined group 7",
+        "core 2: duplicate group id 1",
+        "core 2 pc 0: mvm references undefined group 2",
+        "core 3: program does not end with HALT",
+        "core 3 pc 3: transfer len out of encodable range [1,65535]",
+        "core 3 pc 3: transfer peer is the issuing core (use vmov for local copies)",
+        "core 5 pc 0: transfer peer core 9 out of range",
+        "send/recv byte mismatch core 0 -> core 1 tag 0: 8 vs 16",
+        "send/recv byte mismatch core 3 -> core 2 tag 1: 4 vs 16",
+        "send core 3 -> core 3 tag 4 has no matching recv",
+        "send core 5 -> core 9 tag 1 has no matching recv"}},
+  };
+  for (const GoldenCase& c : cases) {
+    EXPECT_EQ(c.build().verify(cfg), c.errors) << c.name;
+  }
+}
+
 TEST(ProgramJson, RoundTripWithWeightsAndSegments) {
   Program p = minimal_program();
   p.network_name = "net";
@@ -437,8 +689,41 @@ TEST(Program, Counters) {
   EXPECT_EQ(p.total_instructions(), 2u);
   EXPECT_EQ(p.total_groups(), 1u);
   EXPECT_EQ(p.cores[0].xbars_used(), 1u);
-  EXPECT_NE(p.cores[0].find_group(0), nullptr);
-  EXPECT_EQ(p.cores[0].find_group(9), nullptr);
+  ASSERT_EQ(p.cores[0].group_table().size(), 1u);
+  EXPECT_NE(p.cores[0].group_table()[0], nullptr);
+}
+
+TEST(Program, GroupTableKeepsFirstGroupPerId) {
+  CoreProgram cp;
+  cp.groups = {group_def(4, 8, 8), group_def(1, 8, 8), group_def(4, 16, 16)};
+  const std::vector<const GroupDef*> table = cp.group_table();
+  ASSERT_EQ(table.size(), 5u);
+  EXPECT_EQ(table[4], &cp.groups[0]);
+  EXPECT_EQ(table[1], &cp.groups[1]);
+  EXPECT_EQ(table[0], nullptr);
+  EXPECT_TRUE(CoreProgram{}.group_table().empty());
+}
+
+TEST(Program, LocalMemoryHighWaterIsTheHighestCheckedByte) {
+  Program p = minimal_program();  // mvm reads [0, +32), writes [0x100, +128)
+  CoreProgram& cp = p.cores[0];
+  EXPECT_EQ(cp.lm_high_water(), 0x180u);
+  DataSegment seg;
+  seg.addr = 0x400;
+  seg.bytes.assign(16, 0);
+  cp.lm_init.push_back(seg);
+  EXPECT_EQ(cp.lm_high_water(), 0x410u);
+  // An i8 vmov counts its source at 4 bytes per element, as verify does.
+  Instruction mv = bare(Opcode::VMOV);
+  mv.dst_addr = 0x500;
+  mv.src1_addr = 0x600;
+  mv.len = 8;
+  cp.code.insert(cp.code.end() - 1, mv);
+  EXPECT_EQ(cp.lm_high_water(), 0x620u);
+  // An mvm on an undefined group touches nothing verify could size.
+  cp.code.insert(cp.code.end() - 1, mvm_op(9, 0x1000, 0x2000, 32));
+  EXPECT_EQ(cp.lm_high_water(), 0x620u);
+  EXPECT_EQ(CoreProgram{}.lm_high_water(), 0u);
 }
 
 TEST(Disassembly, StableStrings) {
