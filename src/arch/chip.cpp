@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -33,17 +32,6 @@ Chip::Chip(const config::ArchConfig& cfg, const isa::Program& program,
     for (size_t i = 0; i < errors.size() && i < 10; ++i) msg += "  " + errors[i] + "\n";
     if (errors.size() > 10) msg += strformat("  ... and %zu more\n", errors.size() - 10);
     throw std::invalid_argument(msg);
-  }
-  if (trace_ == nullptr && !cfg_.sim.trace_file.empty()) {
-    // Legacy SimSettings.trace_file alias: own a sink, dump at end of run().
-    // Probe-open now so a bad path fails at construction, like the old raw
-    // ofstream did.
-    std::ofstream probe(cfg_.sim.trace_file, std::ios::trunc);
-    if (!probe.is_open()) {
-      throw std::invalid_argument("cannot open trace file '" + cfg_.sim.trace_file + "'");
-    }
-    owned_trace_ = std::make_unique<telemetry::TraceSink>();
-    trace_ = owned_trace_.get();
   }
   if (trace_ != nullptr) {
     trace_pid_ = trace_->pid(program.network_name.empty() ? "chip" : program.network_name);
@@ -134,7 +122,6 @@ RunStats Chip::run() {
       PIM_LOG(Debug) << "simulation stopped at its time limit before every core halted";
     }
   }
-  if (owned_trace_) owned_trace_->write(cfg_.sim.trace_file);
   return stats_;
 }
 

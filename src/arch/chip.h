@@ -35,9 +35,8 @@ class Chip {
   ///
   /// `trace`, when non-null, receives the structural timeline of the run
   /// (pid = this chip; tids = core units, NoC links, layer phases) and must
-  /// outlive the chip. When null and cfg.sim.trace_file is set (the legacy
-  /// config key), the chip owns a sink and writes that file at the end of
-  /// run() — same JSON pipeline, one config alias.
+  /// outlive the chip. It is the only way to trace a chip; the caller
+  /// writes the sink out.
   Chip(const config::ArchConfig& cfg, const isa::Program& program,
        telemetry::TraceSink* trace = nullptr, const isa::VerifyProof* proof = nullptr);
   Chip(const Chip&) = delete;
@@ -86,7 +85,6 @@ class Chip {
   uint32_t trace_pid() const { return trace_pid_; }
 
  private:
-  std::unique_ptr<telemetry::TraceSink> owned_trace_;  ///< legacy trace_file alias
   telemetry::TraceSink* trace_ = nullptr;
   uint32_t trace_pid_ = 0;
   config::ArchConfig cfg_;

@@ -140,8 +140,6 @@ json::Value ArchConfig::to_json() const {
   json::Value s;
   s["max_time_ps"] = json::Value(sim.max_time_ps);
   s["functional"] = json::Value(sim.functional);
-  s["collect_unit_stats"] = json::Value(sim.collect_unit_stats);
-  s["trace_file"] = json::Value(sim.trace_file);
   v["sim"] = std::move(s);
 
   return v;
@@ -247,18 +245,21 @@ ArchConfig ArchConfig::from_json(const json::Value& v) {
 
   if (v.contains("sim")) {
     const json::Value& s = v.at("sim");
-    // "max_time_ps" is canonical; "max_time_ms" stays a parsed alias for
-    // configs written before the budget went ps-granular. An explicit ps
-    // value wins over the alias.
-    if (s.contains("max_time_ps")) {
-      cfg.sim.max_time_ps = static_cast<uint64_t>(s.at("max_time_ps").as_int());
-    } else if (s.contains("max_time_ms")) {
-      cfg.sim.max_time_ps = saturating_mul_u64(
-          static_cast<uint64_t>(s.at("max_time_ms").as_int()), 1'000'000'000ull);
+    // Keys that older configs carry. Dropping a budget would make a bounded
+    // run unbounded, and dropping a trace path would skip the trace without
+    // a word, so both are refused; the unit-stats switch and an empty trace
+    // path, which every older save() wrote, are ignored.
+    if (s.contains("max_time_ms")) {
+      throw std::invalid_argument(
+          "sim.max_time_ms is no longer read: give the budget as sim.max_time_ps "
+          "(1 ms = 1000000000 ps)");
     }
+    if (!s.get_or("trace_file", "").empty()) {
+      throw std::invalid_argument(
+          "sim.trace_file is no longer read: trace a run with --trace-out FILE");
+    }
+    cfg.sim.max_time_ps = s.get_or("max_time_ps", cfg.sim.max_time_ps);
     cfg.sim.functional = s.get_or("functional", cfg.sim.functional);
-    cfg.sim.collect_unit_stats = s.get_or("collect_unit_stats", cfg.sim.collect_unit_stats);
-    cfg.sim.trace_file = s.get_or("trace_file", cfg.sim.trace_file);
   }
 
   cfg.validate();

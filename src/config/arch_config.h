@@ -113,12 +113,12 @@ struct GlobalMemoryConfig {
   double static_power_mw = 50.0;
 };
 
-/// Simulator settings (paper Fig. 1 "Simulator Settings").
+/// Simulator settings (paper Fig. 1 "Simulator Settings"). Tracing is not a
+/// setting: a run is traced by handing it a telemetry::TraceSink.
 struct SimSettings {
   /// Simulated-time budget in picoseconds; 0 = unlimited. Paper-scale
   /// points often finish in tens of microseconds, so the budget is
-  /// ps-granular; the JSON schema also accepts the legacy "max_time_ms"
-  /// key as a parsed alias (converted, saturating, to picoseconds).
+  /// ps-granular.
   uint64_t max_time_ps = 0;
   /// Wall-clock budget in milliseconds for one simulation; 0 = unlimited.
   /// Runtime-only and deliberately *not* serialized by to_json/from_json: a
@@ -126,9 +126,7 @@ struct SimSettings {
   /// would fragment shared caches across hosts), and a wall-timed-out run is
   /// never a cacheable result anyway.
   uint64_t max_wall_ms = 0;
-  bool functional = true;           ///< move/compute real data, not just timing
-  bool collect_unit_stats = true;   ///< per-unit busy-time accounting
-  std::string trace_file;           ///< optional instruction trace output
+  bool functional = true;  ///< move/compute real data, not just timing
 };
 
 /// Complete accelerator configuration.
@@ -150,6 +148,9 @@ struct ArchConfig {
   void validate() const;
 
   json::Value to_json() const;
+  /// Missing keys keep their defaults. Throws std::invalid_argument for a
+  /// millisecond budget or a non-empty trace path under "sim", which older
+  /// configs may carry but nothing reads any more.
   static ArchConfig from_json(const json::Value& v);
   static ArchConfig load(const std::string& path);
   void save(const std::string& path) const;

@@ -1,11 +1,14 @@
 #include "json/json.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <system_error>
 
 #include "common/strings.h"
+#include "common/transient_error.h"
 
 namespace pim::json {
 
@@ -456,11 +459,21 @@ class Parser {
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
 
 Value parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw Error("json: cannot open file '" + path + "'");
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return parse(ss.str());
+  // stdio, not a stream: POSIX sets errno when fopen fails.
+  auto close = [](std::FILE* file) { std::fclose(file); };
+  std::unique_ptr<std::FILE, decltype(close)> f(std::fopen(path.c_str(), "rb"), close);
+  if (f == nullptr) {
+    const int err = errno;
+    const std::string what =
+        "json: cannot open file '" + path + "': " + std::generic_category().message(err);
+    if (retryable_errno(err)) throw TransientError(what, err);
+    throw Error(what);
+  }
+  std::string text;
+  char buf[1 << 16];
+  for (size_t n; (n = std::fread(buf, 1, sizeof buf, f.get())) > 0;) text.append(buf, n);
+  if (std::ferror(f.get())) throw Error("json: cannot read file '" + path + "'");
+  return parse(text);
 }
 
 void write_file(const std::string& path, const Value& value, int indent) {

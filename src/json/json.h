@@ -115,7 +115,9 @@ class Value {
 /// Parse a JSON document; throws Error with line/column info on failure.
 Value parse(std::string_view text);
 
-/// Parse the file at `path`; throws Error (including on I/O failure).
+/// Parse the file at `path`; throws Error on parse and I/O failures, except
+/// an open that failed with a retryable errno (pim::retryable_errno: a
+/// vanished file, an NFS blip), which throws pim::TransientError.
 Value parse_file(const std::string& path);
 
 /// Write `value` to `path` (pretty-printed); throws Error on I/O failure.

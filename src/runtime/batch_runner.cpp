@@ -11,6 +11,7 @@
 #include "common/failpoint.h"
 #include "common/logging.h"
 #include "common/strings.h"
+#include "common/transient_error.h"
 #include "compiler/mapping.h"
 #include "nn/executor.h"
 
@@ -31,18 +32,9 @@ const char* policy_short(compiler::MappingPolicy p) {
 /// pass — run_one never touches the filesystem or builds a graph itself.
 struct ResolvedWorkload {
   artifact::GraphHandle handle;
-  std::string error;       ///< non-empty: the resolve threw; fail the scenario
-  bool transient = false;  ///< the resolve failure looked retryable
+  std::string error;     ///< non-empty: the resolve failed for good; fail the scenario
+  unsigned retries = 0;  ///< re-attempts the resolve took
 };
-
-/// Heuristic transience test for plain exceptions: an unreadable or vanished
-/// file may come back (NFS blip, a concurrent process mid-rename); a parse
-/// or compile error will not.
-bool looks_transient(const std::string& msg) {
-  return msg.find("cannot open") != std::string::npos ||
-         msg.find("cannot read") != std::string::npos ||
-         msg.find("No such file") != std::string::npos;
-}
 
 /// Retry/watchdog knobs run() threads down to each attempt.
 struct RunPolicy {
@@ -52,6 +44,31 @@ struct RunPolicy {
   telemetry::Registry* metrics = nullptr;
 };
 
+/// The one retry loop: run `body`, and run it again after each TransientError
+/// it throws, up to policy.max_retries more times with exponential backoff.
+/// Every re-attempt counts in `*retries` and `batch.retries`. Any other
+/// exception, and the last TransientError, propagate.
+template <typename Body>
+void retry_transient(const RunPolicy& policy, const std::string& what, unsigned* retries,
+                     Body&& body) {
+  for (unsigned attempt = 0;; ++attempt) {
+    try {
+      body();
+      return;
+    } catch (const TransientError& e) {
+      if (attempt >= policy.max_retries) throw;
+      PIM_LOG(Warn) << "batch: retrying " << what << " after transient failure (attempt "
+                    << (attempt + 2) << "): " << e.what();
+      // 10 ms << 3 tops out well under a scenario's own runtime, so retries
+      // never dominate the batch.
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          static_cast<uint64_t>(policy.retry_backoff_ms) << std::min(attempt, 6u)));
+      ++*retries;
+      if (policy.metrics != nullptr) policy.metrics->counter("batch.retries").add();
+    }
+  }
+}
+
 ScenarioResult run_one(const Scenario& s, const ResolvedWorkload& wl, artifact::Store& store,
                        telemetry::TraceSink* trace, const RunPolicy& policy) {
   ScenarioResult r;
@@ -59,20 +76,18 @@ ScenarioResult run_one(const Scenario& s, const ResolvedWorkload& wl, artifact::
   r.workload = s.workload.label();
   r.policy = policy_short(s.copts.policy);
   r.batch = std::max(1u, s.copts.batch);
+  r.retries = wl.retries;
   const Clock::time_point start = Clock::now();
-  for (unsigned attempt = 0;; ++attempt) {
-    bool transient = false;
-    try {
-      if (!wl.error.empty()) {
-        if (wl.transient) throw TransientError(wl.error);
-        throw std::runtime_error(wl.error);
-      }
+  try {
+    // The prefetch pass already spent the retries on a resolve error.
+    if (!wl.error.empty()) throw std::runtime_error(wl.error);
+    config::ArchConfig cfg = s.arch;
+    cfg.sim.functional = s.functional;
+    cfg.sim.max_wall_ms = policy.scenario_timeout_ms;
+    retry_transient(policy, r.name, &r.retries, [&] {
       if (testing::failpoint_hit("scenario_transient")) {
         throw TransientError("failpoint scenario_transient");
       }
-      config::ArchConfig cfg = s.arch;
-      cfg.sim.functional = s.functional;
-      cfg.sim.max_wall_ms = policy.scenario_timeout_ms;
       compiler::CompileOptions copts = s.copts;
       copts.include_weights = s.functional;
       const std::shared_ptr<const CompiledNetwork> net = store.program(wl.handle, cfg, copts);
@@ -83,46 +98,28 @@ ScenarioResult run_one(const Scenario& s, const ResolvedWorkload& wl, artifact::
         in_ptr = &input;
       }
       r.report = simulate_compiled(*net, cfg, in_ptr, trace);
-      r.ok = r.report.finished;
-      r.error.clear();
-      r.fail_kind = FailKind::None;
-      if (!r.ok) {
-        if (r.report.wall_timed_out) {
-          // Killed by the host-side watchdog: a property of this machine and
-          // this moment, never of the architecture point — callers must not
-          // cache it. Not transient either: rerunning would spend another
-          // full timeout.
-          r.fail_kind = FailKind::WallTimeout;
-          r.error = strformat("wall-clock watchdog expired after %llu ms",
-                              static_cast<unsigned long long>(policy.scenario_timeout_ms));
-          if (policy.metrics != nullptr) policy.metrics->counter("batch.watchdog_kills").add();
-        } else {
-          r.timed_out = cfg.sim.max_time_ps > 0;
-          r.fail_kind = FailKind::SimTimeout;
-          r.error = "simulation did not finish (deadlock or time limit)";
-        }
+    });
+    r.ok = r.report.finished;
+    if (!r.ok) {
+      if (r.report.wall_timed_out) {
+        // Killed by the host-side watchdog: a property of this machine and
+        // this moment, never of the architecture point — callers must not
+        // cache it. Not transient either: rerunning would spend another
+        // full timeout.
+        r.fail_kind = FailKind::WallTimeout;
+        r.error = strformat("wall-clock watchdog expired after %llu ms",
+                            static_cast<unsigned long long>(policy.scenario_timeout_ms));
+        if (policy.metrics != nullptr) policy.metrics->counter("batch.watchdog_kills").add();
+      } else {
+        r.timed_out = cfg.sim.max_time_ps > 0;
+        r.fail_kind = FailKind::SimTimeout;
+        r.error = "simulation did not finish (deadlock or time limit)";
       }
-    } catch (const TransientError& e) {
-      r.ok = false;
-      r.error = e.what();
-      r.fail_kind = FailKind::Exception;
-      transient = true;
-    } catch (const std::exception& e) {
-      r.ok = false;
-      r.error = e.what();
-      r.fail_kind = FailKind::Exception;
-      transient = looks_transient(e.what());
     }
-    if (r.ok || !transient || attempt >= policy.max_retries) break;
-    // Exponential backoff between attempts; 10 ms << 3 tops out well under a
-    // scenario's own runtime, so retries never dominate the batch.
-    const auto delay = std::chrono::milliseconds(
-        static_cast<uint64_t>(policy.retry_backoff_ms) << std::min(attempt, 6u));
-    std::this_thread::sleep_for(delay);
-    ++r.retries;
-    if (policy.metrics != nullptr) policy.metrics->counter("batch.retries").add();
-    PIM_LOG(Warn) << "batch: retrying " << r.name << " after transient failure (attempt "
-                  << (attempt + 2) << "): " << r.error;
+  } catch (const std::exception& e) {
+    r.ok = false;
+    r.error = e.what();
+    r.fail_kind = FailKind::Exception;
   }
   r.wall_ms = ms_since(start);
   return r;
@@ -276,34 +273,26 @@ BatchResult BatchRunner::run(const std::vector<Scenario>& scenarios) const {
     if (dup_of[i] == kNotDup) uniques.push_back(i);
   }
 
+  RunPolicy policy;
+  policy.scenario_timeout_ms = scenario_timeout_ms_;
+  policy.max_retries = max_retries_;
+  policy.retry_backoff_ms = retry_backoff_ms_;
+  policy.metrics = metrics_;
+
   // Transient resolve failures (vanished graph file, unreadable mount) get
   // the same bounded retry as scenarios; a deterministic parse error fails
-  // immediately and run_one reports it per scenario.
+  // immediately. Either way the error is final, and run_one reports it per
+  // scenario.
   auto resolve_one = [&](size_t i) {
     const Scenario& s = scenarios[i];
-    for (unsigned attempt = 0;; ++attempt) {
-      try {
-        if (testing::failpoint_hit("graph_resolve")) {
-          throw TransientError("failpoint graph_resolve");
-        }
+    const std::string what = "workload resolve for " + (s.name.empty() ? s.derive_name() : s.name);
+    try {
+      retry_transient(policy, what, &resolved[i].retries, [&] {
+        if (testing::failpoint_hit("graph_resolve")) throw TransientError("failpoint graph_resolve");
         resolved[i].handle = store->graph(s.workload, /*init_params=*/s.functional);
-        resolved[i].error.clear();
-        resolved[i].transient = false;
-      } catch (const TransientError& e) {
-        resolved[i].error = e.what();
-        resolved[i].transient = true;
-      } catch (const std::exception& e) {
-        resolved[i].error = e.what();
-        resolved[i].transient = looks_transient(e.what());
-      }
-      if (resolved[i].error.empty() || !resolved[i].transient || attempt >= max_retries_) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(
-          static_cast<uint64_t>(retry_backoff_ms_) << std::min(attempt, 6u)));
-      if (metrics_ != nullptr) metrics_->counter("batch.retries").add();
-      PIM_LOG(Warn) << "batch: retrying workload resolve for "
-                    << (s.name.empty() ? s.derive_name() : s.name)
-                    << " after transient failure (attempt " << (attempt + 2)
-                    << "): " << resolved[i].error;
+      });
+    } catch (const std::exception& e) {
+      resolved[i].error = e.what();
     }
   };
 
@@ -341,12 +330,6 @@ BatchResult BatchRunner::run(const std::vector<Scenario>& scenarios) const {
       worker_tids[t] = trace_->tid(host_pid, "worker" + std::to_string(t));
     }
   }
-
-  RunPolicy policy;
-  policy.scenario_timeout_ms = scenario_timeout_ms_;
-  policy.max_retries = max_retries_;
-  policy.retry_backoff_ms = retry_backoff_ms_;
-  policy.metrics = metrics_;
 
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -50,15 +49,6 @@ struct Scenario {
   std::string derive_name() const;
 };
 
-/// A failure the thrower believes is worth retrying (a vanished file, a
-/// momentarily unreadable resource). BatchRunner's bounded retry policy only
-/// re-attempts these — a deterministic compile error would fail identically
-/// every time, so it is never retried.
-class TransientError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 /// Structured cause of a scenario failure, alongside the free-text `error`.
 enum class FailKind {
   None,        ///< ok, or skipped before it ever ran (cancelled batch)
@@ -85,7 +75,7 @@ struct ScenarioResult {
   /// (ok == false, report empty). In-flight scenarios at cancel time drain
   /// to completion and are *not* skipped.
   bool skipped = false;
-  unsigned retries = 0;          ///< attempts beyond the first (transient failures)
+  unsigned retries = 0;          ///< re-attempts after transient failures (resolve + run)
   std::string error;
   Report report;
   double wall_ms = 0.0;          ///< host wall-clock spent on this scenario
@@ -152,10 +142,13 @@ class BatchRunner {
   /// treated as properties of the architecture point.
   void set_scenario_timeout_ms(uint64_t ms) { scenario_timeout_ms_ = ms; }
 
-  /// Bounded retry for transient failures (a TransientError, or an I/O error
-  /// that reads like a vanished/unreadable file): up to `max_retries` extra
-  /// attempts, sleeping `backoff_ms << attempt` between them. Retries are
-  /// counted per scenario and as `batch.retries`. Default: no retries.
+  /// Bounded retry for transient failures (a pim::TransientError, such as a
+  /// graph file that vanished mid-rename): up to `max_retries` extra
+  /// attempts, sleeping `backoff_ms << attempt` between them. A workload
+  /// resolve and a scenario's compile-and-simulate each get that budget;
+  /// a resolve that fails for good fails its scenarios without further
+  /// attempts. Retries are counted per scenario and as `batch.retries`.
+  /// Default: no retries.
   void set_retry(unsigned max_retries, unsigned backoff_ms = 10) {
     max_retries_ = max_retries;
     retry_backoff_ms_ = backoff_ms;

@@ -49,9 +49,9 @@ namespace pim::telemetry {
 // TraceSink
 // ---------------------------------------------------------------------------
 
-/// Thread-safe recorder of trace events. Create one per tool invocation (or
-/// per Chip for the legacy SimSettings.trace_file alias), hand it to the
-/// simulation as a nullable pointer, and write() it once at the end.
+/// Thread-safe recorder of trace events. Create one per tool invocation,
+/// hand it to the simulation as a nullable pointer, and write() it once at
+/// the end.
 class TraceSink {
  public:
   TraceSink();

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "common/strings.h"
+#include "common/transient_error.h"
 
 namespace pim::workload {
 namespace {
@@ -468,6 +469,8 @@ nn::Graph graph_from_json(const json::Value& v) {
 nn::Graph load_graph(const std::string& path) {
   try {
     return graph_from_json(json::parse_file(path));
+  } catch (const TransientError& e) {
+    throw TransientError("workload: " + path + ": " + e.what(), e.error_code());
   } catch (const std::exception& e) {
     fail(path + ": " + e.what());
   }

@@ -183,7 +183,9 @@ std::vector<std::string> builtin_names();
 /// std::invalid_argument with the offending layer named.
 nn::Graph graph_from_json(const json::Value& v);
 
-/// graph_from_json over a file, with the path prefixed to any error.
+/// graph_from_json over a file, with the path prefixed to any error. A
+/// retryable open failure stays a pim::TransientError; every other failure
+/// is std::invalid_argument.
 nn::Graph load_graph(const std::string& path);
 
 /// Serialize `g` to `path` (canonical nn::Graph JSON). With

@@ -47,7 +47,6 @@ TEST(ArchKey, SimOnlyFieldsShareOneCompileIdentity) {
   cfg.noc.link_bytes_per_cycle *= 2;
   cfg.noc.hop_latency_cycles += 1;
   cfg.sim.max_time_ps = 12345;
-  cfg.sim.collect_unit_stats = !cfg.sim.collect_unit_stats;
   cfg.name = "renamed";
   EXPECT_EQ(artifact::arch_key(cfg), key)
       << "sim-only fields leaked into the compile-relevant fingerprint";

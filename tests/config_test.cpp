@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
 
 #include "config/arch_config.h"
+#include "json/json.h"
 
 namespace pim::config {
 namespace {
@@ -78,35 +81,67 @@ TEST(ArchConfig, JsonRoundTripPreservesEverything) {
   cfg.core.rob_size = 12;
   cfg.core.matrix.xbar.read_energy_pj = 4.5;
   cfg.noc.hop_latency_cycles = 3;
-  cfg.sim.trace_file = "trace.log";
   cfg.sim.functional = false;
   ArchConfig back = ArchConfig::from_json(cfg.to_json());
   EXPECT_EQ(back.core.rob_size, 12u);
   EXPECT_DOUBLE_EQ(back.core.matrix.xbar.read_energy_pj, 4.5);
   EXPECT_EQ(back.noc.hop_latency_cycles, 3u);
-  EXPECT_EQ(back.sim.trace_file, "trace.log");
   EXPECT_FALSE(back.sim.functional);
   EXPECT_EQ(back.to_json(), cfg.to_json());
 }
 
-TEST(ArchConfig, MaxTimeIsPicosecondGranularWithMsAlias) {
-  // Canonical key.
+TEST(ArchConfig, MaxTimeIsPicosecondGranularAndTheMsKeyIsRefused) {
   ArchConfig ps = ArchConfig::from_json(json::parse(R"({"sim": {"max_time_ps": 2500}})"));
   EXPECT_EQ(ps.sim.max_time_ps, 2500u);
-  // Legacy "max_time_ms" parses as an alias, converted to picoseconds...
-  ArchConfig ms = ArchConfig::from_json(json::parse(R"({"sim": {"max_time_ms": 3}})"));
-  EXPECT_EQ(ms.sim.max_time_ps, 3'000'000'000ull);
-  // ...saturating instead of wrapping on absurd budgets...
-  ArchConfig huge = ArchConfig::from_json(
-      json::parse(R"({"sim": {"max_time_ms": 92233720368547758}})"));
-  EXPECT_EQ(huge.sim.max_time_ps, UINT64_MAX);
-  // ...and an explicit ps value wins over the alias.
-  ArchConfig both = ArchConfig::from_json(
-      json::parse(R"({"sim": {"max_time_ps": 7, "max_time_ms": 3}})"));
-  EXPECT_EQ(both.sim.max_time_ps, 7u);
-  // The round-trip stays lossless: to_json writes the canonical key only.
-  EXPECT_EQ(ArchConfig::from_json(ms.to_json()).sim.max_time_ps, ms.sim.max_time_ps);
-  EXPECT_FALSE(ms.to_json().at("sim").contains("max_time_ms"));
+  EXPECT_EQ(ArchConfig::from_json(ps.to_json()).sim.max_time_ps, 2500u);
+  // A millisecond budget is refused, not dropped: dropping it would turn a
+  // bounded run into an unbounded one. The message names the key to use.
+  for (const char* text : {R"({"sim": {"max_time_ms": 3}})",
+                           R"({"sim": {"max_time_ps": 7, "max_time_ms": 3}})"}) {
+    try {
+      ArchConfig::from_json(json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("max_time_ps"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(ArchConfig, TraceFileKeyIsRefusedUnlessEmpty) {
+  try {
+    ArchConfig::from_json(json::parse(R"({"sim": {"trace_file": "run.trace"}})"));
+    ADD_FAILURE() << "accepted a trace path";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--trace-out"), std::string::npos) << e.what();
+  }
+  EXPECT_NO_THROW(ArchConfig::from_json(json::parse(R"({"sim": {"trace_file": ""}})")));
+}
+
+TEST(ArchConfig, LoadsAConfigSavedWithTheRemovedSimKeys) {
+  // Older save() output carried two more sim keys; such files keep loading
+  // and mean the same configuration.
+  ArchConfig cfg = ArchConfig::paper_default();
+  cfg.sim.max_time_ps = 12345;
+  cfg.sim.functional = false;
+  json::Value old = cfg.to_json();
+  old["sim"]["collect_unit_stats"] = json::Value(true);
+  old["sim"]["trace_file"] = json::Value("");
+  const std::string path = std::filesystem::temp_directory_path() / "pim_cfg_old_save.json";
+  json::write_file(path, old);
+  const ArchConfig back = ArchConfig::load(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(back.to_json(), cfg.to_json());
+  EXPECT_EQ(back.to_json().at("sim").as_object().size(), 2u) << "sim is {max_time_ps, functional}";
+}
+
+TEST(ArchConfig, ShippedConfigsEqualThePresets) {
+  // Parsed raw, so a key dropped from to_json cannot linger in the files.
+  for (const auto& [file, preset] : {std::pair{"tiny.json", "tiny"},
+                                     std::pair{"paper_default.json", "paper"},
+                                     std::pair{"mnsim_like.json", "mnsim"}}) {
+    const json::Value raw = json::parse_file(std::string(PIM_CONFIGS_DIR "/") + file);
+    EXPECT_EQ(raw, ArchConfig::preset(preset).to_json()) << file;
+  }
 }
 
 TEST(ArchConfig, JsonPartialOverridesKeepDefaults) {

@@ -1,9 +1,11 @@
 // Unit tests for the JSON module: parser, writer, accessors, error paths.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 
+#include "common/transient_error.h"
 #include "json/json.h"
 
 namespace pim::json {
@@ -152,8 +154,17 @@ TEST(JsonFile, WriteAndParseFile) {
   write_file(path, v);
   Value r = parse_file(path);
   EXPECT_EQ(r, v);
+  // An open that fails with a non-retryable errno (ENOTDIR: a path under a
+  // regular file) is an Error; a vanished file (ENOENT) may come back, so it
+  // is a TransientError carrying its errno.
+  EXPECT_THROW(parse_file(path + "/child"), Error);
   std::remove(path.c_str());
-  EXPECT_THROW(parse_file(path), Error);
+  try {
+    parse_file(path);
+    ADD_FAILURE() << "parsed a removed file";
+  } catch (const TransientError& e) {
+    EXPECT_EQ(e.error_code(), ENOENT);
+  }
 }
 
 TEST(JsonParse, BigIntegersExact) {

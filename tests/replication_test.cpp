@@ -12,6 +12,7 @@
 #include "nn/executor.h"
 #include "nn/models.h"
 #include "runtime/simulator.h"
+#include "telemetry/telemetry.h"
 
 namespace pim {
 namespace {
@@ -110,16 +111,17 @@ TEST(Replication, ReducesLatencyOnConvBoundNet) {
 }
 
 TEST(Trace, FileContainsRetiredInstructions) {
-  // The legacy sim.trace_file config key now lands on the telemetry
-  // TraceSink: the file is a Chrome trace-event JSON whose core-unit lanes
-  // carry one complete (X) event per retired instruction.
+  // A TraceSink handed to the simulator writes a Chrome trace-event JSON
+  // whose core-unit lanes carry one complete (X) event per retired
+  // instruction.
   const std::string path =
       (std::filesystem::temp_directory_path() / "pim_trace_test.json").string();
   nn::Graph net = nn::build_mlp(8, {}, 4);
   config::ArchConfig cfg = config::ArchConfig::tiny();
-  cfg.sim.trace_file = path;
-  runtime::Report rep = runtime::simulate_network(net, cfg, {});
+  telemetry::TraceSink sink;
+  runtime::Report rep = runtime::simulate_network(net, cfg, {}, nullptr, &sink);
   EXPECT_TRUE(rep.finished);
+  sink.write(path);
 
   const json::Value doc = json::parse_file(path);
   const json::Array& events = doc.at("traceEvents").as_array();

@@ -388,6 +388,57 @@ TEST(BatchFaults, TransientGraphResolveIsRetried) {
   EXPECT_TRUE(res.results[0].ok) << res.results[0].error;
 }
 
+TEST(BatchFaults, AResolveErrorIsRetriedOnceNotAgainPerScenario) {
+  // The resolve never recovers: its retries are spent in the prefetch pass,
+  // and the scenario fails on that error without replaying it.
+  FailpointGuard guard;
+  testing::arm_failpoint("graph_resolve", 1, 999);
+  testing::arm_failpoint("scenario_transient", 1, 999);  // must never be reached
+  telemetry::Registry reg;
+  runtime::BatchRunner runner(1);
+  runner.set_metrics(&reg);
+  runner.set_retry(/*max_retries=*/3, /*backoff_ms=*/1);
+  const runtime::BatchResult res = runner.run({mlp_scenario()});
+  ASSERT_EQ(res.results.size(), 1u);
+  EXPECT_FALSE(res.results[0].ok);
+  EXPECT_EQ(res.results[0].fail_kind, runtime::FailKind::Exception);
+  EXPECT_NE(res.results[0].error.find("graph_resolve"), std::string::npos);
+  EXPECT_EQ(res.results[0].retries, 3u);
+  EXPECT_EQ(reg.counter("batch.retries").value(), 3u);
+  EXPECT_EQ(res.results[0].to_json().at("retries").as_int(), 3);
+}
+
+runtime::Scenario graph_file_scenario(const std::string& path) {
+  runtime::Scenario s;
+  s.workload = workload::WorkloadSpec::graph_file(path);
+  s.arch = config::ArchConfig::tiny();
+  s.name = s.derive_name();
+  return s;
+}
+
+TEST(BatchFaults, AMalformedGraphFileIsNotRetriedAndAVanishedOneIs) {
+  const std::string malformed = fresh_path("malformed_graph.json");
+  std::ofstream(malformed) << "{\"layers\": [";
+  const std::string vanished = fresh_path("vanished_graph.json");
+  telemetry::Registry reg;
+  runtime::BatchRunner runner(1);
+  runner.set_metrics(&reg);
+  runner.set_retry(/*max_retries=*/2, /*backoff_ms=*/1);
+
+  const runtime::BatchResult bad = runner.run({graph_file_scenario(malformed)});
+  ASSERT_EQ(bad.results.size(), 1u);
+  EXPECT_FALSE(bad.results[0].ok);
+  EXPECT_EQ(bad.results[0].retries, 0u) << bad.results[0].error;
+  EXPECT_EQ(reg.counter("batch.retries").value(), 0u);
+
+  const runtime::BatchResult gone = runner.run({graph_file_scenario(vanished)});
+  ASSERT_EQ(gone.results.size(), 1u);
+  EXPECT_FALSE(gone.results[0].ok);
+  EXPECT_EQ(gone.results[0].retries, 2u) << gone.results[0].error;
+  EXPECT_EQ(reg.counter("batch.retries").value(), 2u);
+  std::filesystem::remove(malformed);
+}
+
 TEST(BatchFaults, CancelledBatchSkipsUnclaimedScenarios) {
   std::atomic<bool> stop{true};  // cancelled before any scenario starts
   runtime::BatchRunner runner(1);

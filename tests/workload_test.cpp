@@ -3,9 +3,11 @@
 // rejection, and the workload-fingerprint cache-key contract.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 
+#include "common/transient_error.h"
 #include "config/arch_config.h"
 #include "dse/cache.h"
 #include "dse/evaluator.h"
@@ -324,8 +326,15 @@ TEST(LoaderTest, RejectsMalformedGraphs) {
   ]})");
   EXPECT_EQ(ok.size(), 2u);
 
-  // load_graph prefixes the path on file-level failures.
-  EXPECT_THROW(load_graph("/nonexistent/net.json"), std::invalid_argument);
+  // load_graph prefixes the path on file-level failures. A missing file is
+  // retryable, so it keeps the typed error with its errno.
+  try {
+    load_graph("/nonexistent/net.json");
+    ADD_FAILURE() << "loaded a missing file";
+  } catch (const TransientError& e) {
+    EXPECT_EQ(e.error_code(), ENOENT);
+    EXPECT_NE(std::string(e.what()).find("/nonexistent/net.json"), std::string::npos) << e.what();
+  }
 }
 
 // ------------------------------------------------------- fingerprint / cache

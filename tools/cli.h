@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "config/arch_config.h"
 #include "telemetry/telemetry.h"
 
 namespace pim::tools {
@@ -59,6 +60,13 @@ class ArgParser {
     return *this;
   }
 
+  /// Declare the tool's one bare argument (an input file, say), read with
+  /// has(name)/get(name) like an option. A second bare argument is unknown.
+  ArgParser& positional(const std::string& name, const std::string& help) {
+    specs_.push_back({name, "", "", help, /*is_flag=*/false, "", false, /*is_positional=*/true});
+    return *this;
+  }
+
   /// Parse the command line. Prints help and exits 0 on --help/-h; prints a
   /// diagnostic and exits 2 on unknown or malformed arguments.
   void parse(int argc, char** argv) {
@@ -73,7 +81,9 @@ class ArgParser {
         fail("unknown argument \"" + arg + "\"");
       }
       s->seen = true;
-      if (!s->is_flag) {
+      if (s->is_positional) {
+        s->value = arg;
+      } else if (!s->is_flag) {
         if (i + 1 >= argc) fail("option " + arg + " needs a value");
         s->value = argv[++i];
       }
@@ -116,7 +126,9 @@ class ArgParser {
   }
 
   std::string help_text() const {
-    std::string out = prog_ + " — " + summary_ + "\n\nusage: " + prog_ + " [options]\n\noptions:\n";
+    std::string out = prog_ + " — " + summary_ + "\n\nusage: " + prog_ + " [options]";
+    for (const Spec& s : specs_) out += s.is_positional ? " " + s.name : "";
+    out += "\n\noptions:\n";
     size_t w = sizeof("--help") - 1;
     for (const Spec& s : specs_) w = std::max(w, s.name.size() + 1 + s.value_name.size());
     for (const Spec& s : specs_) {
@@ -135,6 +147,7 @@ class ArgParser {
     bool is_flag;
     std::string value;
     bool seen;
+    bool is_positional = false;
   };
 
   [[noreturn]] void fail(const std::string& what) const {
@@ -142,9 +155,11 @@ class ArgParser {
     std::exit(2);
   }
 
-  Spec* find(const std::string& name) {
+  /// The spec a command-line word names: an option by name, or else the
+  /// positional if the word is bare and the positional is still unseen.
+  Spec* find(const std::string& arg) {
     for (Spec& s : specs_) {
-      if (s.name == name) return &s;
+      if (s.is_positional ? !s.seen && arg[0] != '-' : s.name == arg) return &s;
     }
     return nullptr;
   }
@@ -159,6 +174,15 @@ class ArgParser {
   std::vector<Spec> specs_;
 };
 
+/// --arch accepts the three named presets or a configuration file path.
+inline config::ArchConfig arch_by_name_or_file(const std::string& name) {
+  try {
+    return config::ArchConfig::preset(name);
+  } catch (const std::invalid_argument&) {
+    return config::ArchConfig::load(name);
+  }
+}
+
 /// Declare the observability options every CLI shares: --log-level,
 /// --trace-out and --metrics-out. Pair with Observability::from_args().
 inline void add_observability_options(ArgParser& args) {
@@ -167,6 +191,18 @@ inline void add_observability_options(ArgParser& args) {
   args.option("--trace-out", "FILE", "",
               "write a Chrome/Perfetto trace-event JSON timeline of the run");
   args.option("--metrics-out", "FILE", "", "write a metrics-registry JSON snapshot");
+}
+
+/// Set the global log level from --log-level. Exits 2 on a malformed level
+/// (same contract as the parser).
+inline void apply_log_level(const ArgParser& args, const char* prog) {
+  const std::string& level = args.get("--log-level");
+  log::Level parsed = log::Level::Warn;
+  if (!log::parse_level(level, &parsed)) {
+    std::fprintf(stderr, "%s: unknown --log-level \"%s\" (try --help)\n", prog, level.c_str());
+    std::exit(2);
+  }
+  log::set_level(parsed);
 }
 
 /// The shared observability state of one tool invocation: an optional trace
@@ -183,14 +219,7 @@ struct Observability {
   /// asked for. Exits 2 on a malformed level (same contract as the parser).
   static Observability from_args(const ArgParser& args, const char* prog) {
     Observability obs;
-    const std::string& level = args.get("--log-level");
-    log::Level parsed = log::Level::Warn;
-    if (!log::parse_level(level, &parsed)) {
-      std::fprintf(stderr, "%s: unknown --log-level \"%s\" (try --help)\n", prog,
-                   level.c_str());
-      std::exit(2);
-    }
-    log::set_level(parsed);
+    apply_log_level(args, prog);
     obs.trace_path = args.get("--trace-out");
     obs.metrics_path = args.get("--metrics-out");
     if (!obs.trace_path.empty()) obs.trace = std::make_unique<telemetry::TraceSink>();

@@ -17,21 +17,8 @@
 #include "nn/graph.h"
 #include "cli.h"
 
-namespace {
-
-using namespace pim;
-
-/// --arch accepts the three named presets or a configuration file path.
-config::ArchConfig arch_by_name_or_file(const std::string& name) {
-  if (name == "tiny") return config::ArchConfig::tiny();
-  if (name == "paper") return config::ArchConfig::paper_default();
-  if (name == "mnsim") return config::ArchConfig::mnsim_like();
-  return config::ArchConfig::load(name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace pim;
   tools::ArgParser args("pimc", "compile a network description onto an architecture");
   args.option("--network", "FILE", "", "network description JSON (required)");
   args.option("--arch", "NAME|FILE", "paper",
@@ -62,7 +49,7 @@ int main(int argc, char** argv) {
 
   try {
     nn::Graph net = nn::Graph::from_json(json::parse_file(args.get("--network")));
-    config::ArchConfig cfg = arch_by_name_or_file(args.get("--arch"));
+    config::ArchConfig cfg = tools::arch_by_name_or_file(args.get("--arch"));
 
     compiler::CompileOptions copts;
     copts.policy = policy == "util" ? compiler::MappingPolicy::UtilizationFirst

@@ -28,22 +28,8 @@
 #include "workload/workload.h"
 #include "cli.h"
 
-namespace {
-
-using namespace pim;
-
-/// --arch accepts the three named presets or a configuration file path.
-config::ArchConfig arch_by_name_or_file(const std::string& name) {
-  try {
-    return config::ArchConfig::preset(name);
-  } catch (const std::invalid_argument&) {
-    return config::ArchConfig::load(name);
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace pim;
   tools::ArgParser args("pimsim", "simulate a compiled program or a declarative workload");
   args.option("--program", "FILE", "", "compiled ISA program JSON (from pimc)");
   args.option("--workload", "NAME|FILE", "",
@@ -53,8 +39,6 @@ int main(int argc, char** argv) {
   args.option("--input-hw", "N", "32", "input resolution (workload mode)");
   args.flag("--functional", "move real data and check outputs (workload mode)");
   args.flag("--json", "print the full report as JSON");
-  args.option("--trace", "FILE", "",
-              "legacy alias for --trace-out (kept for old scripts)");
   tools::add_observability_options(args);
   args.parse(argc, argv);
 
@@ -68,10 +52,7 @@ int main(int argc, char** argv) {
   }
 
   try {
-    config::ArchConfig cfg = arch_by_name_or_file(args.get("--arch"));
-    // The legacy --trace flag routed an instruction trace through the config;
-    // it now lands on the same TraceSink machinery as --trace-out.
-    if (!args.get("--trace").empty()) cfg.sim.trace_file = args.get("--trace");
+    config::ArchConfig cfg = tools::arch_by_name_or_file(args.get("--arch"));
 
     runtime::Report report;
     if (!workload_arg.empty()) {
