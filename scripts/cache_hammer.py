@@ -58,10 +58,14 @@ def main():
     os.makedirs(workdir, exist_ok=True)
     shared = os.path.join(workdir, "shared-cache")
     shutil.rmtree(shared, ignore_errors=True)
+    # The result cache key does not name the simulator build, so a private
+    # cache left by an earlier build would replay that build's answers.
+    ref_cache = os.path.join(workdir, "ref-cache")
+    shutil.rmtree(ref_cache, ignore_errors=True)
 
-    # Serial reference with a private cache: the ground-truth frontier.
+    # Serial reference with a fresh private cache: the ground-truth frontier.
     ref_json = os.path.join(workdir, "reference.json")
-    p = run_one(args.pimdse, args.space, os.path.join(workdir, "ref-cache"),
+    p = run_one(args.pimdse, args.space, ref_cache,
                 0, ref_json, args.sampler, args.budget)
     _, err = p.communicate()
     if p.returncode != 0:

@@ -184,6 +184,21 @@ class Codegen {
     return l.type == OpType::Flatten || is_folded_relu(l);
   }
 
+  /// The layer that owns `id`'s output buffer and task: `id` itself, or the
+  /// producer an alias chain ends at.
+  int32_t resolve_alias(int32_t id) const {
+    while (is_alias(graph_.layer(id))) id = graph_.layer(id).inputs[0];
+    return id;
+  }
+
+  /// Output positions per image of the layer owning `id`'s buffer. A
+  /// flatten's own shape is 1x1; its producer's positions are what
+  /// positions_emitted counts.
+  int64_t positions_per_image(int32_t id) const {
+    const nn::Shape& s = graph_.layer(resolve_alias(id)).out_shape;
+    return int64_t{s.h} * s.w;
+  }
+
   // --------------------------------------------------------------- buffers
 
   void plan_buffers() {
@@ -228,8 +243,8 @@ class Codegen {
 
   /// Output positions already emitted for `id` (aliases mirror producers).
   int64_t positions_emitted(int32_t id) const {
+    id = resolve_alias(id);
     const Layer& l = graph_.layer(id);
-    if (is_alias(l)) return positions_emitted(l.inputs[0]);
     const Task& t = tasks_.at(id);
     const int64_t positions = int64_t{l.out_shape.h} * l.out_shape.w;
     switch (t.kind) {
@@ -253,7 +268,7 @@ class Codegen {
     const int64_t local = u % t.per_image;
     if (t.is_store) {
       // Ship image `img` once the output layer has fully emitted it.
-      return positions_emitted(l.id) >= (img + 1) * int64_t{l.out_shape.h} * l.out_shape.w;
+      return positions_emitted(l.id) >= (img + 1) * positions_per_image(l.id);
     }
 
     // Buffer-reuse guard: emitting image `img` overwrites image img-1's data
@@ -270,36 +285,34 @@ class Codegen {
     if (l.type == OpType::Input) return true;
 
     // Producer data needed for this unit, counted cumulatively over images.
-    auto in_total = [this](int32_t pid) {
+    // `need` counts the operand's positions as this layer sees them; behind
+    // a flatten (one position) that one position is the producer's whole map.
+    auto have = [&](int32_t pid, int64_t need) {
       const nn::Shape& s = graph_.layer(pid).out_shape;
-      return int64_t{s.h} * s.w;
+      const int64_t total = positions_per_image(pid);
+      return positions_emitted(pid) >= img * total + need * total / (int64_t{s.h} * s.w);
     };
-    auto have = [this](int32_t pid) { return positions_emitted(pid); };
     switch (l.type) {
       case OpType::Conv:
       case OpType::MaxPool:
       case OpType::AvgPool: {
         const int64_t oy = local / l.out_shape.w;
-        const int64_t need = rows_needed(l, oy) * l.in_shape.w;
-        return have(l.inputs[0]) >= img * in_total(l.inputs[0]) + need;
+        return have(l.inputs[0], rows_needed(l, oy) * l.in_shape.w);
       }
-      case OpType::Relu: {
-        const int64_t need = (local + 1) * l.out_shape.w;
-        return have(l.inputs[0]) >= img * in_total(l.inputs[0]) + need;
-      }
+      case OpType::Relu:
+        return have(l.inputs[0], (local + 1) * l.out_shape.w);
       case OpType::Add:
       case OpType::Concat: {
         // Operands share this layer's spatial dims by construction; row
         // `local` needs the operands' rows through `local`.
         for (int32_t pid : l.inputs) {
-          const int64_t need = (local + 1) * graph_.layer(pid).out_shape.w;
-          if (have(pid) < img * in_total(pid) + need) return false;
+          if (!have(pid, (local + 1) * graph_.layer(pid).out_shape.w)) return false;
         }
         return true;
       }
       case OpType::FullyConnected:
       case OpType::GlobalAvgPool:
-        return have(l.inputs[0]) >= (img + 1) * in_total(l.inputs[0]);
+        return have(l.inputs[0], int64_t{l.in_shape.h} * l.in_shape.w);
       default:
         return true;
     }
@@ -311,15 +324,11 @@ class Codegen {
     for (const auto& [id, t] : tasks_) {
       const Layer& l = *t.layer;
       for (int32_t pid : l.inputs) {
-        int32_t real = pid;
-        while (is_alias(graph_.layer(real))) real = graph_.layer(real).inputs[0];
-        effective_consumers_[real].push_back(&tasks_.at(id));
+        effective_consumers_[resolve_alias(pid)].push_back(&tasks_.at(id));
       }
     }
     for (Task& st : store_tasks_) {
-      int32_t real = st.layer->id;
-      while (is_alias(graph_.layer(real))) real = graph_.layer(real).inputs[0];
-      effective_consumers_[real].push_back(&st);
+      effective_consumers_[resolve_alias(st.layer->id)].push_back(&st);
     }
   }
 

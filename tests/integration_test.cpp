@@ -4,6 +4,9 @@
 // topologies (chains, residual adds, concats, global pooling).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "compiler/compiler.h"
 #include "config/arch_config.h"
 #include "nn/executor.h"
@@ -165,6 +168,82 @@ TEST(Pipeline, DifferentInputSeedsStayBitExact) {
     check_bit_exact(net, tiny_cfg(), {}, seed);
   }
 }
+
+// ------------------------------------------------------ live activations
+//
+// The zoo's default requantization shift zeroes every activation after the
+// first block, so a bit-exact check on it compares zeros with zeros. This
+// shift keeps every layer's activations non-zero.
+
+void set_live_shift(nn::Graph& g) {
+  for (nn::Layer& l : g.layers()) {
+    if (l.type != nn::OpType::Conv && l.type != nn::OpType::FullyConnected) continue;
+    const double rows = static_cast<double>(l.weight_rows());
+    l.out_shift = static_cast<int32_t>(std::ceil(std::log2(rows) / 2)) + 1;
+  }
+}
+
+/// check_bit_exact on `net` with the live shift, and an output that is not
+/// all zeros.
+void check_live(nn::Graph net, const config::ArchConfig& cfg, const CompileOptions& copts) {
+  set_live_shift(net);
+  const runtime::Report rep = check_bit_exact(net, cfg, copts);
+  EXPECT_NE(std::count(rep.output.begin(), rep.output.end(), 0),
+            static_cast<std::ptrdiff_t>(rep.output.size()))
+      << "all-zero output: the check compares nothing";
+}
+
+TEST(Pipeline, FcBehindAFlattenWaitsForTheWholeMap) {
+  // The FC reads all four input rows; it must not issue its MVM before the
+  // last row's GLOAD lands, though the flatten's own shape is 1x1.
+  nn::Graph g;
+  int32_t x = g.add_input({3, 4, 4});
+  int32_t f = g.add_flatten(x, "flat");
+  g.add_fc(f, 10, "fc");
+  g.infer_shapes();
+  g.init_parameters(3);
+  for (MappingPolicy policy : {MappingPolicy::PerformanceFirst, MappingPolicy::UtilizationFirst}) {
+    CompileOptions copts;
+    copts.policy = policy;
+    check_live(g, tiny_cfg(), copts);
+  }
+}
+
+struct LiveCase {
+  const char* net;
+  const char* arch;
+  bool perf;
+};
+
+class LiveShift : public ::testing::TestWithParam<LiveCase> {};
+
+TEST_P(LiveShift, BitExactOnNonZeroActivations) {
+  const auto& [name, arch, perf] = GetParam();
+  nn::ModelOptions mopt;
+  mopt.input_hw = std::string(arch) == "tiny" ? 8 : 16;
+  config::ArchConfig cfg = config::ArchConfig::preset(arch);
+  cfg.sim.functional = true;
+  CompileOptions copts;
+  copts.policy = perf ? MappingPolicy::PerformanceFirst : MappingPolicy::UtilizationFirst;
+  check_live(nn::build_model(name, mopt), cfg, copts);
+}
+
+std::vector<LiveCase> live_cases() {
+  std::vector<LiveCase> out;
+  for (const char* net : {"tiny_cnn", "vgg8", "resnet18", "googlenet", "alexnet"}) {
+    for (const char* arch : {"paper", "mnsim"}) {
+      for (bool perf : {true, false}) out.push_back(LiveCase{net, arch, perf});
+    }
+  }
+  for (bool perf : {true, false}) out.push_back(LiveCase{"tiny_cnn", "tiny", perf});
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, LiveShift, ::testing::ValuesIn(live_cases()),
+                         [](const ::testing::TestParamInfo<LiveCase>& info) {
+                           return std::string(info.param.net) + "_" + info.param.arch + "_" +
+                                  (info.param.perf ? "perf" : "util");
+                         });
 
 // ----------------------------------------------------------- timing facts
 
