@@ -116,13 +116,11 @@ sim::Process Core::dispatch_proc() {
     RobEntry entry;
     entry.instr = &in;
     entry.order = next_order_++;
-    entry.is_branch = in.op == Opcode::JMP || in.op == Opcode::BEQ || in.op == Opcode::BNE ||
-                      in.op == Opcode::BLT || in.op == Opcode::BGE;
     fill_hazard_info(entry);
     rob_.push_back(entry);
     request_scan();
     if (in.op == Opcode::HALT) break;
-    if (entry.is_branch) {
+    if (isa::is_branch(in.op)) {
       // The front end stalls until the branch resolves (no speculation).
       co_await branch_resolved_;
       pc = branch_target_ >= 0 ? static_cast<size_t>(branch_target_) : pc + 1;
@@ -136,75 +134,37 @@ sim::Process Core::dispatch_proc() {
 
 void Core::fill_hazard_info(RobEntry& e) const {
   const Instruction& in = *e.instr;
+  if (in.cls() == InstrClass::Scalar) {
+    auto reg_bit = [](uint8_t r) { return r == 0 ? 0u : (1u << r); };
+    switch (in.op) {
+      case Opcode::LDI:
+        e.reg_writes = reg_bit(in.rd);
+        break;
+      case Opcode::SADDI:
+        e.reg_reads = reg_bit(in.rs1);
+        e.reg_writes = reg_bit(in.rd);
+        break;
+      case Opcode::JMP: case Opcode::NOP: case Opcode::HALT:
+        break;
+      default:  // conditional branch or three-register ALU
+        e.reg_reads = reg_bit(in.rs1) | reg_bit(in.rs2);
+        if (!isa::is_branch(in.op)) e.reg_writes = reg_bit(in.rd);
+        break;
+    }
+    return;
+  }
+  // Local-memory ranges, sized by the ISA. An MVM writes its group's
+  // out_len int32 partial sums.
+  const uint64_t in_bytes = in.bytes_in();
+  const bool two_sources = isa::has_vector_src2(in.op);
   auto read = [&e](uint32_t addr, uint64_t bytes) {
     if (bytes) e.reads[e.read_count++] = Range{addr, bytes};
   };
-  auto write = [&e](uint32_t addr, uint64_t bytes) { e.write = Range{addr, bytes}; };
-  const uint64_t ds = isa::dtype_size(in.dtype);
-  switch (in.cls()) {
-    case InstrClass::Matrix: {
-      const GroupDef& g = group(in.group);
-      read(in.src1_addr, in.len);
-      write(in.dst_addr, 4ull * g.out_len);
-      break;
-    }
-    case InstrClass::Vector:
-      switch (in.op) {
-        case Opcode::VADD: case Opcode::VSUB: case Opcode::VMUL:
-        case Opcode::VMAX: case Opcode::VMIN:
-          read(in.src1_addr, in.len * ds);
-          read(in.src2_addr, in.len * ds);
-          write(in.dst_addr, in.len * ds);
-          break;
-        case Opcode::VSET:
-          write(in.dst_addr, in.len * ds);
-          break;
-        case Opcode::VQUANT:
-          read(in.src1_addr, in.len * 4);
-          write(in.dst_addr, in.len);
-          break;
-        case Opcode::VDEQUANT:
-          read(in.src1_addr, in.len);
-          write(in.dst_addr, in.len * 4);
-          break;
-        default:  // unary dtype-preserving
-          read(in.src1_addr, in.len * ds);
-          write(in.dst_addr, in.len * ds);
-          break;
-      }
-      break;
-    case InstrClass::Transfer:
-      switch (in.op) {
-        case Opcode::SEND: read(in.src1_addr, in.len * ds); break;
-        case Opcode::RECV: write(in.dst_addr, in.len * ds); break;
-        case Opcode::GLOAD: write(in.dst_addr, in.len * ds); break;
-        case Opcode::GSTORE: read(in.src1_addr, in.len * ds); break;
-        default: break;
-      }
-      break;
-    case InstrClass::Scalar: {
-      auto reg_bit = [](uint8_t r) { return r == 0 ? 0u : (1u << r); };
-      switch (in.op) {
-        case Opcode::LDI:
-          e.reg_writes = reg_bit(in.rd);
-          break;
-        case Opcode::SADDI:
-          e.reg_reads = reg_bit(in.rs1);
-          e.reg_writes = reg_bit(in.rd);
-          break;
-        case Opcode::JMP: case Opcode::NOP: case Opcode::HALT:
-          break;
-        case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT: case Opcode::BGE:
-          e.reg_reads = reg_bit(in.rs1) | reg_bit(in.rs2);
-          break;
-        default:  // three-register ALU
-          e.reg_reads = reg_bit(in.rs1) | reg_bit(in.rs2);
-          e.reg_writes = reg_bit(in.rd);
-          break;
-      }
-      break;
-    }
-  }
+  read(in.src1_addr, two_sources ? in_bytes / 2 : in_bytes);
+  if (two_sources) read(in.src2_addr, in_bytes / 2);
+  const uint64_t out_bytes =
+      in.cls() == InstrClass::Matrix ? 4ull * group(in.group).out_len : in.bytes_out();
+  e.write = Range{in.dst_addr, out_bytes};
 }
 
 bool Core::hazards_clear(size_t index) const {
@@ -280,26 +240,21 @@ void Core::complete(RobEntry& e) {
     trace_->complete(unit_tids_[static_cast<size_t>(e.instr->cls())],
                      isa::to_string(*e.instr), e.issue_ps, dur);
   }
-  UnitStats* unit = nullptr;
+  LayerStats* ls = layer_stats(*e.instr);
+  if (ls != nullptr) ls->last_complete_ps = std::max(ls->last_complete_ps, kernel_.now());
+  auto account = [&](UnitStats& unit, sim::Time LayerStats::*layer_busy) {
+    ++unit.ops;
+    unit.busy_ps += dur;
+    if (ls != nullptr && layer_busy != nullptr) ls->*layer_busy += dur;
+  };
   switch (e.instr->cls()) {
-    case InstrClass::Matrix: unit = &my_stats_.matrix; break;
-    case InstrClass::Vector: unit = &my_stats_.vector; break;
-    case InstrClass::Transfer: unit = &my_stats_.transfer; break;
-    case InstrClass::Scalar: unit = &my_stats_.scalar; break;
-  }
-  ++unit->ops;
-  unit->busy_ps += dur;
-  if (LayerStats* ls = layer_stats(*e.instr)) {
-    ls->last_complete_ps = std::max(ls->last_complete_ps, kernel_.now());
-    switch (e.instr->cls()) {
-      case InstrClass::Matrix:
-        ls->matrix_busy_ps += dur;
-        ++ls->mvm_count;
-        break;
-      case InstrClass::Vector: ls->vector_busy_ps += dur; break;
-      case InstrClass::Transfer: ls->transfer_busy_ps += dur; break;
-      case InstrClass::Scalar: break;
-    }
+    case InstrClass::Matrix:
+      account(my_stats_.matrix, &LayerStats::matrix_busy_ps);
+      if (ls != nullptr) ++ls->mvm_count;
+      break;
+    case InstrClass::Vector: account(my_stats_.vector, &LayerStats::vector_busy_ps); break;
+    case InstrClass::Transfer: account(my_stats_.transfer, &LayerStats::transfer_busy_ps); break;
+    case InstrClass::Scalar: account(my_stats_.scalar, nullptr); break;
   }
   request_scan();
 }
@@ -485,164 +440,108 @@ sim::Process Core::exec_transfer(RobEntry& e) {
   const uint64_t bytes = uint64_t{in.len} * isa::dtype_size(in.dtype);
   co_await transfer_unit_.acquire();
 
-  switch (in.op) {
-    case Opcode::SEND: {
-      // Read payload from local memory.
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
+  if (in.op == Opcode::RECV) {
+    // Post the receive; the matching SEND delivers into it.
+    Channel& ch = noc.channel(in.core, id_);
+    sim::Event delivered(kernel_);
+    ch.recvs.push_back(Channel::PendingRecv{in.tag, in.dst_addr, bytes, &delivered});
+    if (!ch.sends.empty()) {
+      Channel::PendingSend send = ch.sends.front();
+      ch.sends.pop_front();
+      send.recv_arrived->notify();
+    }
+    co_await delivered;
+  } else {
+    // One sequence for SEND, GLOAD and GSTORE: source access, SEND
+    // rendezvous, link walk, destination access. SEND and GSTORE read local
+    // memory, GLOAD the global-memory port; SEND delivers into the peer's
+    // local memory, GLOAD into this core's, GSTORE to the global-memory port.
+    const bool from_gmem = in.op == Opcode::GLOAD;
+    const bool to_gmem = in.op == Opcode::GSTORE;
+    const uint64_t gaddr = static_cast<uint32_t>(in.imm);
+    Core& dst = in.op == Opcode::SEND ? chip_.core(in.core) : *this;
+    const std::vector<Link*> path = noc.route(from_gmem ? Noc::kGlobalMemNode : id_,
+                                              to_gmem ? Noc::kGlobalMemNode : dst.id());
+
+    // A GLOAD's request travels to the memory port first (header-only).
+    if (from_gmem) co_await kernel_.delay(noc.hop_ps() * path.size());
+    sim::Resource& src_port = from_gmem ? chip_.gmem_port() : lm_port_;
+    co_await src_port.acquire();
+    co_await kernel_.delay(from_gmem ? chip_.gmem_access_ps(bytes) : lm_access_ps(bytes));
+    src_port.release();
+    std::vector<uint8_t> payload;
+    if (from_gmem) {
+      chip_.charge_gmem(bytes);
+      if (cfg_.sim.functional) payload = chip_.read_global(gaddr, bytes);
+    } else {
       charge_lm(bytes);
-      std::vector<uint8_t> payload;
       if (cfg_.sim.functional) {
         payload.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
       }
+    }
 
-      // Rendezvous: block until the matching RECV is posted.
+    // Where the payload lands: this instruction's own range, or for a SEND
+    // the range of the peer's matching RECV, which it blocks until posted.
+    Channel::PendingRecv target{in.tag, in.dst_addr, bytes, nullptr};
+    if (in.op == Opcode::SEND) {
       Channel& ch = noc.channel(id_, in.core);
       if (ch.recvs.empty()) {
         sim::Event recv_arrived(kernel_);
         ch.sends.push_back(Channel::PendingSend{in.tag, &recv_arrived});
         co_await recv_arrived;
       }
-      Channel::PendingRecv recv = ch.recvs.front();
+      target = ch.recvs.front();
       ch.recvs.pop_front();
-      if (recv.tag != in.tag) {
+      if (target.tag != in.tag) {
         PIM_LOG(Error) << strformat("core %u -> %u: tag mismatch send=%u recv=%u", id_,
-                                    in.core, in.tag, recv.tag);
+                                    in.core, in.tag, target.tag);
       }
-      if (recv.bytes != bytes) {
+      if (target.bytes != bytes) {
         // verify pairs byte totals per (src, dst, tag), not per instruction.
         // Deliver only what the RECV reserved: its range is all the
         // receiver's local memory is sized for.
         PIM_LOG(Error) << strformat("core %u -> %u: send of %llu bytes meets recv of %llu",
                                     id_, in.core, static_cast<unsigned long long>(bytes),
-                                    static_cast<unsigned long long>(recv.bytes));
+                                    static_cast<unsigned long long>(target.bytes));
       }
+    }
 
-      const sim::Time wire_start = kernel_.now();
-      // Store-and-forward traversal, one occupied link at a time.
-      std::vector<Link*> path = noc.route(id_, in.core);
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
+    // Store-and-forward traversal, one occupied link at a time.
+    const sim::Time wire_start = kernel_.now();
+    for (Link* l : path) {
+      co_await l->busy.acquire();
+      const sim::Time link_start = kernel_.now();
+      co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
+      l->bytes_carried += bytes;
+      ++l->messages;
+      if (l->trace_tid != 0) {
+        trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
       }
-      noc.charge(bytes, path.size());
+      l->busy.release();
+    }
+    noc.charge(bytes, path.size());
 
-      // Deliver into the destination core's local memory.
-      Core& dst = chip_.core(in.core);
-      co_await dst.lm_port().acquire();
-      co_await kernel_.delay(dst.lm_access_ps(bytes));
-      dst.lm_port().release();
+    sim::Resource& dst_port = to_gmem ? chip_.gmem_port() : dst.lm_port();
+    co_await dst_port.acquire();
+    co_await kernel_.delay(to_gmem ? chip_.gmem_access_ps(bytes) : dst.lm_access_ps(bytes));
+    dst_port.release();
+    if (to_gmem) {
+      chip_.charge_gmem(bytes);
+      if (cfg_.sim.functional) chip_.write_global(gaddr, payload);
+    } else {
       dst.charge_lm(bytes);
       if (cfg_.sim.functional) {
-        std::memcpy(dst.lm().data() + recv.dst_addr, payload.data(),
-                    std::min(bytes, recv.bytes));
+        std::memcpy(dst.lm().data() + target.dst_addr, payload.data(),
+                    std::min(bytes, target.bytes));
       }
-      my_stats_.bytes_sent += bytes;
       dst.stats().bytes_received += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
-      recv.delivered->notify();
-      break;
     }
-    case Opcode::RECV: {
-      Channel& ch = noc.channel(in.core, id_);
-      sim::Event delivered(kernel_);
-      ch.recvs.push_back(Channel::PendingRecv{in.tag, in.dst_addr, bytes, &delivered});
-      if (!ch.sends.empty()) {
-        Channel::PendingSend send = ch.sends.front();
-        ch.sends.pop_front();
-        send.recv_arrived->notify();
-      }
-      co_await delivered;
-      break;
+    if (!from_gmem) my_stats_.bytes_sent += bytes;
+    if (LayerStats* ls = layer_stats(in)) {
+      ls->transfer_wire_ps += kernel_.now() - wire_start;
+      ls->bytes_moved += bytes;
     }
-    case Opcode::GLOAD: {
-      const uint64_t gaddr = static_cast<uint32_t>(in.imm);
-      std::vector<Link*> path = noc.route(Noc::kGlobalMemNode, id_);
-      // Request message travels to the memory port (header-only latency).
-      co_await kernel_.delay(noc.hop_ps() * path.size());
-      co_await chip_.gmem_port().acquire();
-      co_await kernel_.delay(chip_.gmem_access_ps(bytes));
-      chip_.gmem_port().release();
-      chip_.charge_gmem(bytes);
-      const sim::Time wire_start = kernel_.now();
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
-      }
-      noc.charge(bytes, path.size());
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
-      charge_lm(bytes);
-      if (cfg_.sim.functional) {
-        std::vector<uint8_t> data = chip_.read_global(gaddr, bytes);
-        std::memcpy(lm_.data() + in.dst_addr, data.data(), bytes);
-      }
-      my_stats_.bytes_received += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
-      break;
-    }
-    case Opcode::GSTORE: {
-      const uint64_t gaddr = static_cast<uint32_t>(in.imm);
-      co_await lm_port_.acquire();
-      co_await kernel_.delay(lm_access_ps(bytes));
-      lm_port_.release();
-      charge_lm(bytes);
-      std::vector<uint8_t> payload;
-      if (cfg_.sim.functional) {
-        payload.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
-      }
-      const sim::Time wire_start = kernel_.now();
-      std::vector<Link*> path = noc.route(id_, Noc::kGlobalMemNode);
-      for (Link* l : path) {
-        co_await l->busy.acquire();
-        const sim::Time link_start = kernel_.now();
-        co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-        l->bytes_carried += bytes;
-        ++l->messages;
-        if (l->trace_tid != 0) {
-          trace_->complete(l->trace_tid, "xfer", link_start, kernel_.now() - link_start);
-        }
-        l->busy.release();
-      }
-      noc.charge(bytes, path.size());
-      co_await chip_.gmem_port().acquire();
-      co_await kernel_.delay(chip_.gmem_access_ps(bytes));
-      chip_.gmem_port().release();
-      chip_.charge_gmem(bytes);
-      if (cfg_.sim.functional) {
-        chip_.write_global(gaddr, payload);
-      }
-      my_stats_.bytes_sent += bytes;
-      if (LayerStats* ls = layer_stats(in)) {
-        ls->transfer_wire_ps += kernel_.now() - wire_start;
-        ls->bytes_moved += bytes;
-      }
-      break;
-    }
-    default:
-      throw std::logic_error("unhandled transfer op");
+    if (target.delivered != nullptr) target.delivered->notify();
   }
 
   transfer_unit_.release();
@@ -683,7 +582,7 @@ sim::Process Core::exec_scalar(RobEntry& e) {
   }
 
   scalar_unit_.release();
-  if (e.is_branch) {
+  if (isa::is_branch(in.op)) {
     branch_target_ = target;
     branch_resolved_.notify();
   }

@@ -16,6 +16,13 @@
 //    MVMs on the same group serialize on the group — the "structure hazard"
 //    the paper names as the reason ROB scaling flattens (Fig. 4).
 //  * Transfers are synchronized rendezvous through the mesh NoC (see noc.h).
+//    SEND, GLOAD and GSTORE run one sequence: source access (local memory,
+//    or the global-memory port for GLOAD), the SEND rendezvous, one walk
+//    over the route's links, destination access (the peer's or this core's
+//    local memory, or the global-memory port for GSTORE).
+//  * Operand sizes come from the ISA, not from a table here: hazard ranges,
+//    port occupancy and energy use Instruction::bytes_in()/bytes_out(),
+//    isa::has_vector_src2 and isa::is_branch.
 //
 // The core is also *functional*: local memory holds real bytes, units
 // compute real int8/int32 arithmetic, so simulated inference results can be
@@ -87,7 +94,6 @@ class Core {
     uint32_t reg_reads = 0;   ///< bitmask of registers read
     uint32_t reg_writes = 0;  ///< bitmask of registers written
     sim::Time issue_ps = 0;
-    bool is_branch = false;
   };
 
   // -- processes ------------------------------------------------------------
@@ -107,9 +113,6 @@ class Core {
   // -- helpers ----------------------------------------------------------------
   const isa::GroupDef& group(uint16_t id) const;
   LayerStats* layer_stats(const isa::Instruction& in);
-  /// Occupy this core's LM port for an access of `bytes` plus energy.
-  /// (Awaited inline from unit coroutines.)
-  // Implemented in exec processes via lm_port()/lm_access_ps()/charge_lm().
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;

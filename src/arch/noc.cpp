@@ -34,35 +34,24 @@ Link& Noc::link_between(uint16_t a, uint16_t b) {
 }
 
 std::vector<Link*> Noc::route(uint16_t from, uint16_t to) {
+  // Global memory hangs off router 0 through its own link.
   std::vector<Link*> path;
-  // Global memory hangs off router 0: route to/from router 0 plus the
-  // dedicated memory link.
-  if (from == kGlobalMemNode) {
-    path.push_back(&gmem_link_);
-    uint16_t cur = 0;
-    std::vector<Link*> rest = route(0, to);
-    path.insert(path.end(), rest.begin(), rest.end());
-    (void)cur;
-    return path;
-  }
-  if (to == kGlobalMemNode) {
-    path = route(from, 0);
-    path.push_back(&gmem_link_);
-    return path;
-  }
-  uint16_t cur = from;
+  if (from == kGlobalMemNode) path.push_back(&gmem_link_);
+  uint16_t cur = from == kGlobalMemNode ? 0 : from;
+  const uint16_t end = to == kGlobalMemNode ? 0 : to;
   // X first, then Y (dimension-ordered; deadlock-free for meshes).
-  while (node_x(cur) != node_x(to)) {
-    const uint16_t next = static_cast<uint16_t>(node_x(cur) < node_x(to) ? cur + 1 : cur - 1);
+  while (node_x(cur) != node_x(end)) {
+    const uint16_t next = static_cast<uint16_t>(node_x(cur) < node_x(end) ? cur + 1 : cur - 1);
     path.push_back(&link_between(cur, next));
     cur = next;
   }
-  while (node_y(cur) != node_y(to)) {
+  while (node_y(cur) != node_y(end)) {
     const uint16_t next = static_cast<uint16_t>(
-        node_y(cur) < node_y(to) ? cur + cfg_.mesh_width : cur - cfg_.mesh_width);
+        node_y(cur) < node_y(end) ? cur + cfg_.mesh_width : cur - cfg_.mesh_width);
     path.push_back(&link_between(cur, next));
     cur = next;
   }
+  if (to == kGlobalMemNode) path.push_back(&gmem_link_);
   return path;
 }
 

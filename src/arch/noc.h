@@ -15,13 +15,9 @@
 // fully asynchronous, infinitely-buffered communication is the contrasting
 // idealistic model (see pim::mnsim).
 //
-// Usage from a transfer-unit coroutine:
-//   for (Link* l : noc.route(src, dst)) {
-//     co_await l->busy.acquire();
-//     co_await kernel.delay(noc.hop_ps() + noc.serialization_ps(bytes));
-//     l->busy.release();
-//   }
-//   noc.charge(bytes, path.size());
+// The one walk over a route lives in Core::exec_transfer: it builds the
+// route once per message, holds each link for hop_ps() +
+// serialization_ps(bytes) in turn, then calls charge(bytes, hops).
 #pragma once
 
 #include <array>

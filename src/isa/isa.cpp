@@ -7,14 +7,6 @@
 
 namespace pim::isa {
 
-InstrClass instr_class(Opcode op) {
-  const uint8_t v = static_cast<uint8_t>(op);
-  if (v < 16) return InstrClass::Matrix;
-  if (v < 32) return InstrClass::Vector;
-  if (v < 48) return InstrClass::Transfer;
-  return InstrClass::Scalar;
-}
-
 namespace {
 struct OpInfo {
   Opcode op;
@@ -68,15 +60,8 @@ uint64_t Instruction::bytes_in() const {
       const uint64_t elem = op == Opcode::VQUANT ? 4
                             : op == Opcode::VDEQUANT ? 1
                                                      : dtype_size(dtype);
-      switch (op) {
-        case Opcode::VADD: case Opcode::VSUB: case Opcode::VMUL:
-        case Opcode::VMAX: case Opcode::VMIN:
-          return 2ull * len * elem;  // two source operands
-        case Opcode::VSET:
-          return 0;
-        default:
-          return uint64_t{len} * elem;
-      }
+      if (op == Opcode::VSET) return 0;
+      return (has_vector_src2(op) ? 2ull : 1ull) * len * elem;
     }
     case InstrClass::Transfer:
       if (op == Opcode::SEND || op == Opcode::GSTORE) return uint64_t{len} * dtype_size(dtype);

@@ -87,7 +87,13 @@ enum class DType : uint8_t { I8 = 0, I32 = 1 };
 inline uint32_t dtype_size(DType t) { return t == DType::I8 ? 1u : 4u; }
 
 /// Instruction class of an opcode (by numeric range).
-InstrClass instr_class(Opcode op);
+inline InstrClass instr_class(Opcode op) {
+  const auto v = static_cast<uint8_t>(op);
+  return v < 16 ? InstrClass::Matrix
+         : v < 32 ? InstrClass::Vector
+         : v < 48 ? InstrClass::Transfer
+                  : InstrClass::Scalar;
+}
 
 /// Mnemonic of an opcode, lowercase ("mvm", "vadd", ...).
 const char* opcode_name(Opcode op);
@@ -98,6 +104,19 @@ Opcode opcode_from_name(const std::string& name);
 /// True for vector opcodes whose second operand is an immediate rather than
 /// a second local-memory address (vaddi/vmuli/vshr/vset/vquant).
 bool uses_vector_imm(Opcode op);
+
+/// True for vector opcodes that read a second local-memory vector at
+/// src2_addr (vadd/vsub/vmul/vmax/vmin); the two sources have equal size.
+inline bool has_vector_src2(Opcode op) {
+  return op == Opcode::VADD || op == Opcode::VSUB || op == Opcode::VMUL ||
+         op == Opcode::VMAX || op == Opcode::VMIN;
+}
+
+/// True for control-flow opcodes: jmp and the conditional branches.
+inline bool is_branch(Opcode op) {
+  return op == Opcode::JMP || op == Opcode::BEQ || op == Opcode::BNE || op == Opcode::BLT ||
+         op == Opcode::BGE;
+}
 
 /// A decoded instruction. The same struct is produced by the compiler, by
 /// the binary decoder, and by the assembler; the simulator executes it
@@ -135,7 +154,10 @@ struct Instruction {
 
   InstrClass cls() const { return instr_class(op); }
 
-  /// Bytes read from / written to local memory (timing + energy model input).
+  /// Bytes read from / written to local memory: the core model's port
+  /// occupancy, energy and hazard ranges. A two-source vector op reads two
+  /// equal halves of bytes_in(); an MVM's bytes_out() is 0 because its
+  /// output length belongs to the crossbar group.
   uint64_t bytes_in() const;
   uint64_t bytes_out() const;
 

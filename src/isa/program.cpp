@@ -33,11 +33,7 @@ size_t lm_ranges(const Instruction& in, const GroupDef* group, LmRange (&out)[3]
       add(in.dst_addr, in.bytes_out(), "vector dst");
       const uint64_t src_elem = (in.op == Opcode::VDEQUANT) ? 1 : 4;
       if (in.op != Opcode::VSET) add(in.src1_addr, in.len * src_elem, "vector src1");
-      if (!uses_vector_imm(in.op) && in.op != Opcode::VRELU && in.op != Opcode::VSIGMOID &&
-          in.op != Opcode::VTANH && in.op != Opcode::VMOV && in.op != Opcode::VDEQUANT &&
-          in.op != Opcode::VSET) {
-        add(in.src2_addr, in.len * 4ull, "vector src2");
-      }
+      if (has_vector_src2(in.op)) add(in.src2_addr, in.len * 4ull, "vector src2");
       break;
     }
     case InstrClass::Transfer: {
@@ -265,10 +261,7 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
           }
           break;
         case InstrClass::Scalar: {
-          const bool is_branch = in.op == Opcode::JMP || in.op == Opcode::BEQ ||
-                                 in.op == Opcode::BNE || in.op == Opcode::BLT ||
-                                 in.op == Opcode::BGE;
-          if (is_branch &&
+          if (is_branch(in.op) &&
               (in.imm < 0 || static_cast<size_t>(in.imm) >= cp.code.size())) {
             err(loc(pc) + strformat("branch target %d out of range", in.imm));
           }
