@@ -7,7 +7,9 @@
 //
 // Environment knobs (all optional):
 //   PIM_BENCH_INPUT_HW   input resolution (default 32; the paper used
-//                        ImageNet-scale inputs — see EXPERIMENTS.md)
+//                        ImageNet-scale inputs, and below 128 the zoo swaps
+//                        the ImageNet stems for CIFAR-style ones, see
+//                        nn/models.h)
 //   PIM_BENCH_QUICK      set to 1 to drop the largest network from sweeps
 #pragma once
 
@@ -57,8 +59,7 @@ inline runtime::Report run(const nn::Graph& net, const config::ArchConfig& cfg,
 
 inline void print_header(const char* what, const char* paper_ref) {
   std::printf("==========================================================================\n");
-  std::printf("%s\n(reproduces %s; input %dx%d — see EXPERIMENTS.md for scaling notes)\n",
-              what, paper_ref, input_hw(), input_hw());
+  std::printf("%s\n(reproduces %s; input %dx%d)\n", what, paper_ref, input_hw(), input_hw());
   std::printf("==========================================================================\n");
 }
 

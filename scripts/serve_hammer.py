@@ -35,6 +35,7 @@ import tempfile
 import threading
 
 WORKLOADS = ["mlp", "tiny_cnn"]
+WARM_SAMPLES = 5  # odd, so the median is one sample
 
 
 def fail(msg):
@@ -148,12 +149,17 @@ def main():
                 if grew < len(WORKLOADS):
                     fail("repeat rep %d grew program_hits by %d, want >= %d"
                          % (rep, grew, len(WORKLOADS)))
-        # Warm runs must not be slower than cold ones (compile skipped).
+        # Warm runs must not be slower than cold ones (compile skipped). One
+        # warm sample on a loaded host can land on a descheduled slice, so
+        # the bar applies to the median of several.
         for w in WORKLOADS:
-            warm = request(sock_path, evaluate_request("warm-%s" % w, w))
-            if warm["wall_ms"] > max(cold_wall[w], 1.0) * 1.5:
-                fail("warm run of %s (%.2f ms) slower than cold (%.2f ms)"
-                     % (w, warm["wall_ms"], cold_wall[w]))
+            warm = sorted(
+                request(sock_path, evaluate_request("warm-%d-%s" % (i, w), w))["wall_ms"]
+                for i in range(WARM_SAMPLES))
+            median = warm[len(warm) // 2]
+            if median > max(cold_wall[w], 1.0) * 1.5:
+                fail("warm runs of %s (median %.2f ms of %d) slower than cold (%.2f ms)"
+                     % (w, median, WARM_SAMPLES, cold_wall[w]))
 
         # Phase 2: concurrent mixed clients, one connection per thread.
         errors = []

@@ -314,10 +314,12 @@ void Graph::init_parameters(uint64_t seed) {
     for (int8_t& w : l.weights) w = rng.weight(7);
     l.bias.resize(static_cast<size_t>(cols));
     for (int32_t& b : l.bias) b = static_cast<int32_t>(rng.uniform(-64, 64));
-    // Shift chosen so sat8(round_shift(acc)) rarely saturates:
-    // |acc| <~ rows * 7 * 127 / 2 on random data; keep ~3 significant bits
-    // of headroom. Empirically log2(rows) + 4 keeps activations lively
-    // without wall-to-wall saturation.
+    // The shift divides by at least 16 * rows while |acc| <= rows * 7 * 128
+    // + 64, so sat8(round_shift(acc)) never saturates. It also shrinks the
+    // activations so far that every zoo network's are all zero after its
+    // first block: a functional run with these shifts moves and checks
+    // zeros. Tests that need live activations set ceil(log2(rows) / 2) + 1,
+    // which keeps every layer non-zero.
     l.out_shift = static_cast<int32_t>(std::ceil(std::log2(static_cast<double>(rows)))) + 4;
   }
 }

@@ -34,6 +34,7 @@ struct ResolvedWorkload {
   artifact::GraphHandle handle;
   std::string error;     ///< non-empty: the resolve failed for good; fail the scenario
   unsigned retries = 0;  ///< re-attempts the resolve took
+  double wall_ms = 0.0;  ///< host wall-clock of the resolve, retries included
 };
 
 /// Retry/watchdog knobs run() threads down to each attempt.
@@ -177,7 +178,7 @@ bool BatchResult::all_ok() const {
 }
 
 double BatchResult::serial_ms() const {
-  double sum = 0.0;
+  double sum = prefetch_ms;
   for (const ScenarioResult& r : results) sum += r.wall_ms;
   return sum;
 }
@@ -284,6 +285,7 @@ BatchResult BatchRunner::run(const std::vector<Scenario>& scenarios) const {
   // immediately. Either way the error is final, and run_one reports it per
   // scenario.
   auto resolve_one = [&](size_t i) {
+    const Clock::time_point t0 = Clock::now();
     const Scenario& s = scenarios[i];
     const std::string what = "workload resolve for " + (s.name.empty() ? s.derive_name() : s.name);
     try {
@@ -294,6 +296,7 @@ BatchResult BatchRunner::run(const std::vector<Scenario>& scenarios) const {
     } catch (const std::exception& e) {
       resolved[i].error = e.what();
     }
+    resolved[i].wall_ms = ms_since(t0);
   };
 
   const unsigned prefetch_jobs =
@@ -315,6 +318,7 @@ BatchResult BatchRunner::run(const std::vector<Scenario>& scenarios) const {
     }
     for (std::thread& t : prefetchers) t.join();
   }
+  for (size_t i : uniques) batch.prefetch_ms += resolved[i].wall_ms;
   for (size_t i = 0; i < scenarios.size(); ++i) {
     if (dup_of[i] != kNotDup) resolved[i] = resolved[dup_of[i]];
   }

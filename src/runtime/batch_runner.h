@@ -88,6 +88,9 @@ struct BatchResult {
   std::vector<ScenarioResult> results;  ///< same order as the input scenarios
   unsigned jobs = 1;
   double wall_ms = 0.0;                 ///< end-to-end host wall-clock
+  /// Host wall-clock of the prefetch pass's workload resolves (retries
+  /// included), summed over the unique workloads.
+  double prefetch_ms = 0.0;
   /// Cancellation was requested mid-run: some results are skipped.
   /// Serialized only when true, so existing batch JSON stays byte-identical.
   bool interrupted = false;
@@ -96,7 +99,8 @@ struct BatchResult {
   artifact::StoreStats artifacts;
 
   bool all_ok() const;
-  /// Sum of per-scenario wall-clock — what a serial run would cost.
+  /// prefetch_ms plus the per-scenario wall-clock — what a serial run
+  /// would cost.
   double serial_ms() const;
   /// serial_ms() / wall_ms — measured scaling over `--jobs 1`.
   double speedup() const;

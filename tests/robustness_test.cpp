@@ -406,6 +406,10 @@ TEST(BatchFaults, AResolveErrorIsRetriedOnceNotAgainPerScenario) {
   EXPECT_EQ(res.results[0].retries, 3u);
   EXPECT_EQ(reg.counter("batch.retries").value(), 3u);
   EXPECT_EQ(res.results[0].to_json().at("retries").as_int(), 3);
+  // The retries' backoff is serial work the batch did before any scenario.
+  EXPECT_GT(res.prefetch_ms, 0.0);
+  EXPECT_GT(res.serial_ms(), 0.0);
+  EXPECT_GT(res.speedup(), 0.0);
 }
 
 runtime::Scenario graph_file_scenario(const std::string& path) {
