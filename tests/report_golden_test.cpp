@@ -9,7 +9,10 @@
 // tiny_cnn/mlp on tiny; zoo networks that do not fit tiny are listed with the
 // error they fail on. Functional cases run at inputs 8-16, once with the
 // zoo's own requantization shifts and once with a smaller "live" shift that
-// keeps every layer's activations non-zero.
+// keeps every layer's activations non-zero. ROB-size cases run vgg8 and
+// resnet18 on paper at ROB sizes around the preset's 16, and tiny_cnn on tiny
+// with a one-entry ROB, so the core's hazard check and ROB bookkeeping are
+// pinned where issue order is most constrained and least.
 //
 // On a mismatch the test names each field that moved and writes the fresh
 // file next to the test binary (PIM_GOLDEN_FRESH); a change that moves the
@@ -47,11 +50,13 @@ struct Case {
   int32_t input_hw = 16;
   bool functional = false;
   bool live_shift = false;  ///< functional with out_shift = ceil(log2(rows)/2)+1
+  uint32_t rob_size = 0;    ///< core.rob_size; 0 keeps the preset's
 
   std::string key() const {
     std::string k = arch + "/" + (perf ? "perf" : "util") + "/" + network + "@" +
                     std::to_string(input_hw);
     if (functional) k += live_shift ? "/functional-live" : "/functional";
+    if (rob_size != 0) k += "/rob" + std::to_string(rob_size);
     return k;
   }
 };
@@ -72,6 +77,12 @@ std::vector<Case> cases() {
   for (const char* net : {"vgg8", "resnet18", "squeezenet", "alexnet", "googlenet"}) {
     for (bool live : {false, true}) out.push_back(Case{"paper", true, net, 16, true, live});
   }
+  for (const char* net : {"vgg8", "resnet18"}) {
+    for (uint32_t rob : {1u, 2u, 4u, 8u, 12u, 32u}) {
+      out.push_back(Case{"paper", true, net, 16, false, false, rob});
+    }
+  }
+  out.push_back(Case{"tiny", true, "tiny_cnn", 8, false, false, 1});
   return out;
 }
 
@@ -175,6 +186,7 @@ void set_live_shift(nn::Graph& g) {
 json::Value run_case(const Case& c) {
   config::ArchConfig cfg = config::ArchConfig::preset(c.arch);
   cfg.sim.functional = c.functional;
+  if (c.rob_size != 0) cfg.core.rob_size = c.rob_size;
   compiler::CompileOptions copts;
   copts.policy = c.perf ? compiler::MappingPolicy::PerformanceFirst
                         : compiler::MappingPolicy::UtilizationFirst;
