@@ -82,12 +82,18 @@ void Chip::write_global(uint64_t addr, std::span<const uint8_t> bytes) {
 }
 
 std::vector<uint8_t> Chip::read_global(uint64_t addr, size_t size) const {
-  std::vector<uint8_t> out(size, 0);
+  std::vector<uint8_t> out(size);
+  read_global(addr, out);
+  return out;
+}
+
+void Chip::read_global(uint64_t addr, std::span<uint8_t> out) const {
+  size_t n = 0;
   if (addr < gmem_.size()) {
-    const size_t n = std::min<uint64_t>(size, gmem_.size() - addr);
+    n = std::min<uint64_t>(out.size(), gmem_.size() - addr);
     std::copy_n(gmem_.begin() + static_cast<ptrdiff_t>(addr), n, out.begin());
   }
-  return out;
+  std::fill(out.begin() + static_cast<ptrdiff_t>(n), out.end(), uint8_t{0});
 }
 
 RunStats Chip::run() {

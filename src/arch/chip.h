@@ -60,6 +60,8 @@ class Chip {
   // -- functional global memory ------------------------------------------------
   void write_global(uint64_t addr, std::span<const uint8_t> bytes);
   std::vector<uint8_t> read_global(uint64_t addr, size_t size) const;
+  /// Fill `out` from `addr`; bytes never written read as zero.
+  void read_global(uint64_t addr, std::span<uint8_t> out) const;
 
   /// The model of core `id`. Throws std::out_of_range for a core without
   /// code, which has none.

@@ -53,6 +53,8 @@ Core::Core(sim::Kernel& kernel, const config::ArchConfig& cfg, uint16_t id, Chip
   for (const GroupDef& g : program.groups) {
     group_locks_[g.id] = std::make_unique<sim::Resource>(kernel, 1);
   }
+  if (cfg.sim.functional) mvm_sums_.resize(groups_.size());
+  rob_.resize(cfg.core.rob_size);
   if (telemetry::TraceSink* sink = chip.trace()) {
     trace_ = sink;
     const uint32_t pid = chip.trace_pid();
@@ -69,6 +71,7 @@ Core::Core(sim::Kernel& kernel, const config::ArchConfig& cfg, uint16_t id, Chip
 void Core::start() {
   if (program_.code.empty()) return;
   started_ = true;
+  scan_process_ = scan_proc();
   kernel_.spawn(dispatch_proc());
 }
 
@@ -91,8 +94,18 @@ const GroupDef& Core::group(uint16_t gid) const {
 }
 
 LayerStats* Core::layer_stats(const Instruction& in) {
+  // Cache the map node (std::map nodes never move). The entry is still
+  // created on first use, so stats.layers fills in the same order as
+  // without the cache. Ids past the bound only a hand-written program uses
+  // go to the map directly.
+  constexpr size_t kCachedLayers = 1 << 16;
   if (in.layer_id < 0) return nullptr;
-  return &stats_.layers[in.layer_id];
+  const auto id = static_cast<size_t>(in.layer_id);
+  if (id >= kCachedLayers) return &stats_.layers[in.layer_id];
+  if (id >= layer_cache_.size()) layer_cache_.resize(id + 1, nullptr);
+  LayerStats*& ls = layer_cache_[id];
+  if (ls == nullptr) ls = &stats_.layers[in.layer_id];
+  return ls;
 }
 
 // --------------------------------------------------------------- dispatch
@@ -102,9 +115,9 @@ sim::Process Core::dispatch_proc() {
   while (pc < program_.code.size()) {
     const Instruction& in = program_.code[pc];
     co_await clock_.cycles(cfg_.core.fetch_decode_cycles);
-    if (rob_.size() >= cfg_.core.rob_size) {
+    if (rob_count_ == rob_.size()) {
       const sim::Time stall_start = kernel_.now();
-      while (rob_.size() >= cfg_.core.rob_size) {
+      while (rob_count_ == rob_.size()) {
         ++my_stats_.rob_full_stalls;
         co_await rob_slot_freed_;
       }
@@ -113,11 +126,21 @@ sim::Process Core::dispatch_proc() {
                          kernel_.now() - stall_start);
       }
     }
-    RobEntry entry;
+    RobEntry& entry = rob_[slot_of(next_order_)];
+    entry = RobEntry{};
     entry.instr = &in;
     entry.order = next_order_++;
+    entry.cls = in.cls();
     fill_hazard_info(entry);
-    rob_.push_back(entry);
+    ++rob_count_;
+    // Append to its class's queue of waiting entries.
+    const size_t c = static_cast<size_t>(entry.cls);
+    if (waiting_head_[c] == kNoEntry) {
+      waiting_head_[c] = entry.order;
+    } else {
+      rob_[slot_of(waiting_tail_[c])].next_of_class = entry.order;
+    }
+    waiting_tail_[c] = entry.order;
     request_scan();
     if (in.op == Opcode::HALT) break;
     if (isa::is_branch(in.op)) {
@@ -134,7 +157,7 @@ sim::Process Core::dispatch_proc() {
 
 void Core::fill_hazard_info(RobEntry& e) const {
   const Instruction& in = *e.instr;
-  if (in.cls() == InstrClass::Scalar) {
+  if (e.cls == InstrClass::Scalar) {
     auto reg_bit = [](uint8_t r) { return r == 0 ? 0u : (1u << r); };
     switch (in.op) {
       case Opcode::LDI:
@@ -163,72 +186,109 @@ void Core::fill_hazard_info(RobEntry& e) const {
   read(in.src1_addr, two_sources ? in_bytes / 2 : in_bytes);
   if (two_sources) read(in.src2_addr, in_bytes / 2);
   const uint64_t out_bytes =
-      in.cls() == InstrClass::Matrix ? 4ull * group(in.group).out_len : in.bytes_out();
+      e.cls == InstrClass::Matrix ? 4ull * group(in.group).out_len : in.bytes_out();
   e.write = Range{in.dst_addr, out_bytes};
 }
 
-bool Core::hazards_clear(size_t index) const {
-  const RobEntry& e = rob_[index];
-  for (size_t j = 0; j < index; ++j) {
-    const RobEntry& o = rob_[j];
-    if (o.state == RobEntry::State::Done) continue;
-    // RAW: my reads vs their write.
-    for (int r = 0; r < e.read_count; ++r) {
-      if (e.reads[r].overlaps(o.write)) return false;
-    }
-    // WAW / WAR.
-    if (e.write.overlaps(o.write)) return false;
-    for (int r = 0; r < o.read_count; ++r) {
-      if (e.write.overlaps(o.reads[r])) return false;
-    }
-    // Registers.
-    if ((e.reg_reads & o.reg_writes) != 0) return false;
-    if ((e.reg_writes & (o.reg_reads | o.reg_writes)) != 0) return false;
+bool Core::conflicts(const RobEntry& e, const RobEntry& o) {
+  // RAW: my reads vs their write.
+  for (int r = 0; r < e.read_count; ++r) {
+    if (e.reads[r].overlaps(o.write)) return true;
   }
+  // WAW / WAR.
+  if (e.write.overlaps(o.write)) return true;
+  for (int r = 0; r < o.read_count; ++r) {
+    if (e.write.overlaps(o.reads[r])) return true;
+  }
+  // Registers.
+  return (e.reg_reads & o.reg_writes) != 0 ||
+         (e.reg_writes & (o.reg_reads | o.reg_writes)) != 0;
+}
+
+bool Core::hazards_clear(RobEntry& e) {
+  // Every older entry before e.hazard_from was already found Done or
+  // disjoint from e, and both stay true (ranges are fixed at dispatch, Done
+  // is final), so the check resumes there; retired entries are Done too.
+  // The entry at hazard_from, once found to conflict, blocks e until Done.
+  uint64_t j = e.hazard_from;
+  if (j < rob_head_order_) {
+    j = rob_head_order_;
+  } else if (e.hazard_found && rob_[slot_of(j)].state != RobEntry::State::Done) {
+    return false;
+  }
+  for (size_t slot = slot_of(j); j < e.order; ++j, slot = rob_next(slot)) {
+    const RobEntry& o = rob_[slot];
+    if (o.state != RobEntry::State::Done && conflicts(e, o)) {
+      e.hazard_from = j;
+      e.hazard_found = true;
+      return false;
+    }
+  }
+  e.hazard_from = e.order;
   return true;
 }
 
 void Core::request_scan() {
   if (scan_scheduled_) return;
   scan_scheduled_ = true;
-  kernel_.call_at(kernel_.now(), [this] {
+  kernel_.resume_at(kernel_.now(), scan_process_.handle());
+}
+
+sim::Process Core::scan_proc() {
+  for (;;) {
     scan_scheduled_ = false;
     scan();
-  });
+    co_await std::suspend_always{};
+  }
 }
 
 void Core::scan() {
   // In-order retirement from the head.
-  while (!rob_.empty() && rob_.front().state == RobEntry::State::Done) {
-    rob_.pop_front();
+  while (rob_count_ > 0 && rob_[rob_head_].state == RobEntry::State::Done) {
+    rob_head_ = rob_next(rob_head_);
+    --rob_count_;
+    ++rob_head_order_;
     ++my_stats_.instructions_retired;
     rob_slot_freed_.notify();
   }
-  if (rob_.empty() && dispatch_done_ && !halted_) {
+  if (rob_count_ == 0 && dispatch_done_ && !halted_) {
     halted_ = true;
     my_stats_.halt_time_ps = kernel_.now();
   }
   // Issue: per class strictly in order; across classes, limited only by data
   // hazards (this is the dispatch-unit conflict check of paper §III-B).
-  bool blocked_class[4] = {false, false, false, false};
-  for (size_t i = 0; i < rob_.size(); ++i) {
-    RobEntry& e = rob_[i];
-    const size_t cls = static_cast<size_t>(e.instr->cls());
-    if (e.state != RobEntry::State::Waiting) continue;
-    if (!blocked_class[cls] && hazards_clear(i)) {
-      e.state = RobEntry::State::Executing;
-      e.issue_ps = kernel_.now();
-      if (LayerStats* ls = layer_stats(*e.instr)) {
-        ls->first_issue_ps = std::min(ls->first_issue_ps, e.issue_ps);
-      }
-      switch (e.instr->cls()) {
-        case InstrClass::Matrix: kernel_.spawn(exec_matrix(e)); break;
-        case InstrClass::Vector: kernel_.spawn(exec_vector(e)); break;
-        case InstrClass::Transfer: kernel_.spawn(exec_transfer(e)); break;
-        case InstrClass::Scalar: kernel_.spawn(exec_scalar(e)); break;
-      }
-    } else {
-      blocked_class[cls] = true;
+  // Only the oldest waiting entry of a class can issue, so the candidates
+  // are the heads of the four waiting queues, tried oldest first (ROB
+  // order). A class whose head is blocked is done for this scan; the scan
+  // ends when every class is done.
+  size_t active[4];
+  size_t n_active = 0;
+  for (size_t c = 0; c < 4; ++c) {
+    if (waiting_head_[c] != kNoEntry) active[n_active++] = c;
+  }
+  while (n_active > 0) {
+    size_t pick = 0;
+    for (size_t k = 1; k < n_active; ++k) {
+      if (waiting_head_[active[k]] < waiting_head_[active[pick]]) pick = k;
+    }
+    const size_t c = active[pick];
+    RobEntry& e = rob_[slot_of(waiting_head_[c])];
+    if (!hazards_clear(e)) {
+      active[pick] = active[--n_active];
+      continue;
+    }
+    waiting_head_[c] = e.next_of_class;
+    if (e.next_of_class == kNoEntry) active[pick] = active[--n_active];
+    e.state = RobEntry::State::Executing;
+    e.issue_ps = kernel_.now();
+    if (LayerStats* ls = layer_stats(*e.instr)) {
+      ls->first_issue_ps = std::min(ls->first_issue_ps, e.issue_ps);
+    }
+    switch (e.cls) {
+      case InstrClass::Matrix: kernel_.spawn(exec_matrix(e)); break;
+      case InstrClass::Vector: kernel_.spawn(exec_vector(e)); break;
+      case InstrClass::Transfer: kernel_.spawn(exec_transfer(e)); break;
+      case InstrClass::Scalar: kernel_.spawn(exec_scalar(e)); break;
     }
   }
 }
@@ -237,7 +297,7 @@ void Core::complete(RobEntry& e) {
   e.state = RobEntry::State::Done;
   const sim::Time dur = kernel_.now() - e.issue_ps;
   if (trace_ != nullptr) {
-    trace_->complete(unit_tids_[static_cast<size_t>(e.instr->cls())],
+    trace_->complete(unit_tids_[static_cast<size_t>(e.cls)],
                      isa::to_string(*e.instr), e.issue_ps, dur);
   }
   LayerStats* ls = layer_stats(*e.instr);
@@ -247,7 +307,7 @@ void Core::complete(RobEntry& e) {
     unit.busy_ps += dur;
     if (ls != nullptr && layer_busy != nullptr) ls->*layer_busy += dur;
   };
-  switch (e.instr->cls()) {
+  switch (e.cls) {
     case InstrClass::Matrix:
       account(my_stats_.matrix, &LayerStats::matrix_busy_ps);
       if (ls != nullptr) ++ls->mvm_count;
@@ -274,15 +334,21 @@ sim::Process Core::exec_matrix(RobEntry& e) {
   lm_port_.release();
   charge_lm(in.len);
 
-  // Functional: int32 partial sums (weights empty -> timing-only zeros).
-  std::vector<int32_t> result(g.out_len, 0);
-  if (!g.weights.empty() && cfg_.sim.functional) {
-    const int8_t* src = reinterpret_cast<const int8_t*>(lm_.data() + in.src1_addr);
-    for (uint32_t k = 0; k < g.in_len; ++k) {
-      const int32_t xv = src[k];
-      if (xv == 0) continue;
-      const int8_t* wrow = g.weights.data() + size_t{k} * g.out_len;
-      for (uint32_t j = 0; j < g.out_len; ++j) result[j] += xv * wrow[j];
+  // Functional: int32 partial sums (no weights -> zeros), staged in this
+  // group's buffer, which the group lock keeps to this MVM.
+  int32_t* sums = nullptr;
+  if (cfg_.sim.functional) {
+    std::vector<int32_t>& buf = mvm_sums_[in.group];
+    buf.assign(g.out_len, 0);
+    sums = buf.data();
+    if (!g.weights.empty()) {
+      const int8_t* src = reinterpret_cast<const int8_t*>(lm_.data() + in.src1_addr);
+      for (uint32_t k = 0; k < g.in_len; ++k) {
+        const int32_t xv = src[k];
+        if (xv == 0) continue;
+        const int8_t* wrow = g.weights.data() + size_t{k} * g.out_len;
+        for (uint32_t j = 0; j < g.out_len; ++j) sums[j] += xv * wrow[j];
+      }
     }
   }
 
@@ -315,9 +381,7 @@ sim::Process Core::exec_matrix(RobEntry& e) {
   co_await kernel_.delay(lm_access_ps(4ull * g.out_len));
   lm_port_.release();
   charge_lm(4ull * g.out_len);
-  if (cfg_.sim.functional) {
-    std::memcpy(lm_.data() + in.dst_addr, result.data(), result.size() * 4);
-  }
+  if (sums != nullptr) std::memcpy(lm_.data() + in.dst_addr, sums, 4ull * g.out_len);
 
   lock.release();
   complete(e);
@@ -353,10 +417,11 @@ sim::Process Core::exec_vector(RobEntry& e) {
     charge_lm(bytes_in);
   }
 
-  // Functional evaluation into a staging buffer (applied after the write
-  // latency below, i.e. at completion time).
-  std::vector<uint8_t> out_bytes(bytes_out);
+  // Functional evaluation into the core's staging buffer (applied after the
+  // write latency below, i.e. at completion time); the vector unit is held
+  // throughout, so no other vector instruction touches the buffer.
   if (cfg_.sim.functional) {
+    vector_out_.assign(bytes_out, 0);
     auto load1 = [&](uint32_t i) -> int64_t {
       if (in.op == Opcode::VQUANT) {
         int32_t v;
@@ -384,10 +449,10 @@ sim::Process Core::exec_vector(RobEntry& e) {
         in.op == Opcode::VQUANT || (in.dtype == DType::I8 && in.op != Opcode::VDEQUANT);
     auto store = [&](uint32_t i, int64_t v) {
       if (out_i8) {
-        out_bytes[i] = static_cast<uint8_t>(saturate_i8(v));
+        vector_out_[i] = static_cast<uint8_t>(saturate_i8(v));
       } else {
         const int32_t w = static_cast<int32_t>(v);
-        std::memcpy(out_bytes.data() + 4ull * i, &w, 4);
+        std::memcpy(vector_out_.data() + 4ull * i, &w, 4);
       }
     };
     for (uint32_t i = 0; i < in.len; ++i) {
@@ -423,9 +488,7 @@ sim::Process Core::exec_vector(RobEntry& e) {
     co_await kernel_.delay(lm_access_ps(bytes_out));
     lm_port_.release();
     charge_lm(bytes_out);
-    if (cfg_.sim.functional) {
-      std::memcpy(lm_.data() + in.dst_addr, out_bytes.data(), out_bytes.size());
-    }
+    if (cfg_.sim.functional) std::memcpy(lm_.data() + in.dst_addr, vector_out_.data(), bytes_out);
   }
 
   vector_unit_.release();
@@ -441,42 +504,45 @@ sim::Process Core::exec_transfer(RobEntry& e) {
   co_await transfer_unit_.acquire();
 
   if (in.op == Opcode::RECV) {
-    // Post the receive; the matching SEND delivers into it.
+    // Post the receive; the matching SEND delivers into it. The record lives
+    // in this frame until the SEND takes it.
     Channel& ch = noc.channel(in.core, id_);
     sim::Event delivered(kernel_);
-    ch.recvs.push_back(Channel::PendingRecv{in.tag, in.dst_addr, bytes, &delivered});
-    if (!ch.sends.empty()) {
-      Channel::PendingSend send = ch.sends.front();
-      ch.sends.pop_front();
-      send.recv_arrived->notify();
-    }
+    Channel::PendingRecv recv{in.tag, in.dst_addr, bytes, &delivered};
+    ch.recvs.push(recv);
+    if (Channel::PendingSend* send = ch.sends.pop()) send->recv_arrived->notify();
     co_await delivered;
   } else {
     // One sequence for SEND, GLOAD and GSTORE: source access, SEND
     // rendezvous, link walk, destination access. SEND and GSTORE read local
     // memory, GLOAD the global-memory port; SEND delivers into the peer's
     // local memory, GLOAD into this core's, GSTORE to the global-memory port.
+    // The payload is staged in this core's buffer, which the transfer unit
+    // keeps to this instruction.
     const bool from_gmem = in.op == Opcode::GLOAD;
     const bool to_gmem = in.op == Opcode::GSTORE;
     const uint64_t gaddr = static_cast<uint32_t>(in.imm);
     Core& dst = in.op == Opcode::SEND ? chip_.core(in.core) : *this;
-    const std::vector<Link*> path = noc.route(from_gmem ? Noc::kGlobalMemNode : id_,
-                                              to_gmem ? Noc::kGlobalMemNode : dst.id());
+    Noc::Route route = noc.route_of(from_gmem ? Noc::kGlobalMemNode : id_,
+                                    to_gmem ? Noc::kGlobalMemNode : dst.id());
+    const uint32_t hops = route.hops();
 
     // A GLOAD's request travels to the memory port first (header-only).
-    if (from_gmem) co_await kernel_.delay(noc.hop_ps() * path.size());
+    if (from_gmem) co_await kernel_.delay(noc.hop_ps() * hops);
     sim::Resource& src_port = from_gmem ? chip_.gmem_port() : lm_port_;
     co_await src_port.acquire();
     co_await kernel_.delay(from_gmem ? chip_.gmem_access_ps(bytes) : lm_access_ps(bytes));
     src_port.release();
-    std::vector<uint8_t> payload;
     if (from_gmem) {
       chip_.charge_gmem(bytes);
-      if (cfg_.sim.functional) payload = chip_.read_global(gaddr, bytes);
+      if (cfg_.sim.functional) {
+        payload_.resize(bytes);
+        chip_.read_global(gaddr, payload_);
+      }
     } else {
       charge_lm(bytes);
       if (cfg_.sim.functional) {
-        payload.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
+        payload_.assign(lm_.begin() + in.src1_addr, lm_.begin() + in.src1_addr + bytes);
       }
     }
 
@@ -487,11 +553,11 @@ sim::Process Core::exec_transfer(RobEntry& e) {
       Channel& ch = noc.channel(id_, in.core);
       if (ch.recvs.empty()) {
         sim::Event recv_arrived(kernel_);
-        ch.sends.push_back(Channel::PendingSend{in.tag, &recv_arrived});
+        Channel::PendingSend send{in.tag, &recv_arrived};
+        ch.sends.push(send);
         co_await recv_arrived;
       }
-      target = ch.recvs.front();
-      ch.recvs.pop_front();
+      target = *ch.recvs.pop();
       if (target.tag != in.tag) {
         PIM_LOG(Error) << strformat("core %u -> %u: tag mismatch send=%u recv=%u", id_,
                                     in.core, in.tag, target.tag);
@@ -508,7 +574,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
 
     // Store-and-forward traversal, one occupied link at a time.
     const sim::Time wire_start = kernel_.now();
-    for (Link* l : path) {
+    while (Link* l = noc.next_link(route)) {
       co_await l->busy.acquire();
       const sim::Time link_start = kernel_.now();
       co_await kernel_.delay(noc.hop_ps() + noc.serialization_ps(bytes));
@@ -519,7 +585,7 @@ sim::Process Core::exec_transfer(RobEntry& e) {
       }
       l->busy.release();
     }
-    noc.charge(bytes, path.size());
+    noc.charge(bytes, hops);
 
     sim::Resource& dst_port = to_gmem ? chip_.gmem_port() : dst.lm_port();
     co_await dst_port.acquire();
@@ -527,11 +593,11 @@ sim::Process Core::exec_transfer(RobEntry& e) {
     dst_port.release();
     if (to_gmem) {
       chip_.charge_gmem(bytes);
-      if (cfg_.sim.functional) chip_.write_global(gaddr, payload);
+      if (cfg_.sim.functional) chip_.write_global(gaddr, payload_);
     } else {
       dst.charge_lm(bytes);
       if (cfg_.sim.functional) {
-        std::memcpy(dst.lm().data() + target.dst_addr, payload.data(),
+        std::memcpy(dst.lm().data() + target.dst_addr, payload_.data(),
                     std::min(bytes, target.bytes));
       }
       dst.stats().bytes_received += bytes;

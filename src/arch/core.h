@@ -24,13 +24,34 @@
 //    port occupancy and energy use Instruction::bytes_in()/bytes_out(),
 //    isa::has_vector_src2 and isa::is_branch.
 //
+// Bookkeeping cost (the simulated behaviour does not depend on it):
+//  * The ROB is a ring of rob_size slots with stable addresses; an entry's
+//    slot follows from its program-order number, and each execution
+//    coroutine holds a reference to its slot until it completes.
+//  * The hazard check is incremental. An entry's ranges and registers are
+//    fixed at dispatch and Done is permanent, so once an older entry is
+//    found Done or disjoint it never blocks this entry again. Each entry
+//    keeps the order number of the oldest older entry it has not cleared
+//    (hazard_from) and resumes there, which makes the checks of an entry
+//    O(ROB) in total instead of O(ROB) per scan.
+//  * Waiting entries also sit in one FIFO per class. Only a class's oldest
+//    waiting entry can issue, so a scan tries the four queue heads, oldest
+//    first, and stops once every class is blocked or empty; it never walks
+//    the executing entries. Issue order is ROB order, as a full walk gives.
+//  * A scan is one resume of a coroutine the core owns (scan_proc), not a
+//    parked callback.
+//  * A timing-only instruction allocates nothing: the route is walked hop by
+//    hop (Noc::Route), rendezvous records live in the waiting coroutines'
+//    frames, and frames come from the kernel's pool. Functional runs reuse
+//    per-group MVM and per-core vector/transfer staging buffers.
+//
 // The core is also *functional*: local memory holds real bytes, units
 // compute real int8/int32 arithmetic, so simulated inference results can be
 // checked against the nn reference executor bit-for-bit.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -84,10 +105,20 @@ class Core {
     }
   };
 
+  static constexpr uint64_t kNoEntry = ~uint64_t{0};
+
   struct RobEntry {
     const isa::Instruction* instr = nullptr;
     uint64_t order = 0;  ///< program-order sequence number
+    /// Order number of the oldest older entry not yet cleared as Done or
+    /// hazard-free against this one (see hazards_clear).
+    uint64_t hazard_from = 0;
+    /// The entry at hazard_from was found to conflict with this one.
+    bool hazard_found = false;
+    /// Order number of the next entry of the same class, while waiting.
+    uint64_t next_of_class = kNoEntry;
     enum class State { Waiting, Executing, Done } state = State::Waiting;
+    isa::InstrClass cls = isa::InstrClass::Scalar;
     Range reads[2];
     int read_count = 0;
     Range write;
@@ -102,10 +133,21 @@ class Core {
   sim::Process exec_vector(RobEntry& e);
   sim::Process exec_transfer(RobEntry& e);
   sim::Process exec_scalar(RobEntry& e);
+  /// Runs scan() once per resume. The core owns it and never spawns it:
+  /// request_scan schedules its handle directly (Kernel::resume_at).
+  sim::Process scan_proc();
 
   // -- ROB machinery ----------------------------------------------------------
   void fill_hazard_info(RobEntry& e) const;
-  bool hazards_clear(size_t index) const;
+  static bool conflicts(const RobEntry& e, const RobEntry& older);
+  bool hazards_clear(RobEntry& e);
+  size_t rob_next(size_t slot) const { return slot + 1 == rob_.size() ? 0 : slot + 1; }
+  /// Ring slot of the entry with program-order number `order` (which must be
+  /// in [rob_head_order_, rob_head_order_ + rob_.size()]).
+  size_t slot_of(uint64_t order) const {
+    const size_t slot = rob_head_ + static_cast<size_t>(order - rob_head_order_);
+    return slot >= rob_.size() ? slot - rob_.size() : slot;
+  }
   void request_scan();
   void scan();  ///< retire from head, then issue ready entries
   void complete(RobEntry& e);
@@ -139,10 +181,27 @@ class Core {
   sim::Resource adc_pool_;
   std::vector<const isa::GroupDef*> groups_;                 // index: group id
   std::vector<std::unique_ptr<sim::Resource>> group_locks_;  // index: group id
+  std::vector<LayerStats*> layer_cache_;  // index: layer id; filled on first use
 
-  // ROB.
-  std::deque<RobEntry> rob_;
+  // Functional staging buffers. A group's lock, the vector unit and the
+  // transfer unit each admit one instruction at a time, so one buffer per
+  // group (MVM partial sums) and one per unit is never shared.
+  std::vector<std::vector<int32_t>> mvm_sums_;  // index: group id
+  std::vector<uint8_t> vector_out_;
+  std::vector<uint8_t> payload_;
+
+  // ROB: a ring of rob_size slots holding rob_count_ entries from rob_head_;
+  // the head entry's order number is rob_head_order_.
+  std::vector<RobEntry> rob_;
+  size_t rob_head_ = 0;
+  size_t rob_count_ = 0;
+  uint64_t rob_head_order_ = 0;
   uint64_t next_order_ = 0;
+  /// Per InstrClass, the oldest and newest waiting entries (order numbers,
+  /// kNoEntry when none): a queue linked through RobEntry::next_of_class.
+  std::array<uint64_t, 4> waiting_head_{kNoEntry, kNoEntry, kNoEntry, kNoEntry};
+  std::array<uint64_t, 4> waiting_tail_{};
+  sim::Process scan_process_;
   sim::Event rob_slot_freed_;
   sim::Event branch_resolved_;
   int32_t branch_target_ = -1;  ///< -1 = fall-through, else new pc

@@ -20,50 +20,56 @@ Noc::Noc(sim::Kernel& kernel, const config::ArchConfig& cfg, EnergyMeter& energy
   }
 }
 
-Link& Noc::link_between(uint16_t a, uint16_t b) {
-  const int ax = node_x(a), ay = node_y(a), bx = node_x(b), by = node_y(b);
-  int dir;
-  if (bx == ax + 1 && by == ay) dir = 0;
-  else if (bx == ax - 1 && by == ay) dir = 1;
-  else if (bx == ax && by == ay + 1) dir = 2;
-  else if (bx == ax && by == ay - 1) dir = 3;
-  else throw std::logic_error("link_between: nodes not adjacent");
-  Link* l = links_[a][static_cast<size_t>(dir)].get();
-  if (l == nullptr) throw std::logic_error("link_between: link does not exist");
-  return *l;
+Noc::Route Noc::route_of(uint16_t from, uint16_t to) const {
+  // Global memory hangs off router 0 through its own link.
+  Route r;
+  r.gmem_first = from == kGlobalMemNode;
+  r.gmem_last = to == kGlobalMemNode;
+  const uint16_t start = r.gmem_first ? 0 : from;
+  const uint16_t end = r.gmem_last ? 0 : to;
+  r.x = node_x(start);
+  r.y = node_y(start);
+  r.end_x = node_x(end);
+  r.end_y = node_y(end);
+  return r;
+}
+
+Link* Noc::next_link(Route& r) {
+  if (r.gmem_first) {
+    r.gmem_first = false;
+    return &gmem_link_;
+  }
+  // X first, then Y (dimension-ordered; deadlock-free for meshes). The mesh
+  // is full (validate: width * height == core_count), so every link exists.
+  auto& out = links_[size_t{r.y} * cfg_.mesh_width + r.x];
+  if (r.x < r.end_x) {
+    ++r.x;
+    return out[0].get();
+  }
+  if (r.x > r.end_x) {
+    --r.x;
+    return out[1].get();
+  }
+  if (r.y < r.end_y) {
+    ++r.y;
+    return out[2].get();
+  }
+  if (r.y > r.end_y) {
+    --r.y;
+    return out[3].get();
+  }
+  if (r.gmem_last) {
+    r.gmem_last = false;
+    return &gmem_link_;
+  }
+  return nullptr;
 }
 
 std::vector<Link*> Noc::route(uint16_t from, uint16_t to) {
-  // Global memory hangs off router 0 through its own link.
   std::vector<Link*> path;
-  if (from == kGlobalMemNode) path.push_back(&gmem_link_);
-  uint16_t cur = from == kGlobalMemNode ? 0 : from;
-  const uint16_t end = to == kGlobalMemNode ? 0 : to;
-  // X first, then Y (dimension-ordered; deadlock-free for meshes).
-  while (node_x(cur) != node_x(end)) {
-    const uint16_t next = static_cast<uint16_t>(node_x(cur) < node_x(end) ? cur + 1 : cur - 1);
-    path.push_back(&link_between(cur, next));
-    cur = next;
-  }
-  while (node_y(cur) != node_y(end)) {
-    const uint16_t next = static_cast<uint16_t>(
-        node_y(cur) < node_y(end) ? cur + cfg_.mesh_width : cur - cfg_.mesh_width);
-    path.push_back(&link_between(cur, next));
-    cur = next;
-  }
-  if (to == kGlobalMemNode) path.push_back(&gmem_link_);
+  Route r = route_of(from, to);
+  while (Link* l = next_link(r)) path.push_back(l);
   return path;
-}
-
-uint32_t Noc::hop_count(uint16_t from, uint16_t to) const {
-  auto coord = [this](uint16_t id) -> std::pair<int, int> {
-    if (id == kGlobalMemNode) return {0, 0};
-    return {node_x(id), node_y(id)};
-  };
-  auto [fx, fy] = coord(from);
-  auto [tx, ty] = coord(to);
-  uint32_t extra = (from == kGlobalMemNode ? 1u : 0u) + (to == kGlobalMemNode ? 1u : 0u);
-  return static_cast<uint32_t>(std::abs(fx - tx) + std::abs(fy - ty)) + extra;
 }
 
 void Noc::attach_trace(telemetry::TraceSink& sink, uint32_t pid) {

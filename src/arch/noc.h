@@ -15,14 +15,15 @@
 // fully asynchronous, infinitely-buffered communication is the contrasting
 // idealistic model (see pim::mnsim).
 //
-// The one walk over a route lives in Core::exec_transfer: it builds the
-// route once per message, holds each link for hop_ps() +
-// serialization_ps(bytes) in turn, then calls charge(bytes, hops).
+// The one walk over a route lives in Core::exec_transfer: it takes the
+// route's links one at a time from next_link(), holds each for hop_ps() +
+// serialization_ps(bytes) in turn, then calls charge(bytes, hops). A Route
+// is a few coordinates, so a message allocates nothing and a Noc keeps no
+// per-pair route table.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -44,21 +45,48 @@ struct Link {
   uint32_t trace_tid = 0;
 };
 
+/// FIFO of records that live in the frames of the coroutines waiting on
+/// them. A record stays put until its peer pops it, so the queue owns no
+/// storage.
+template <typename T>
+struct IntrusiveFifo {
+  T* head = nullptr;
+  T* tail = nullptr;
+
+  bool empty() const { return head == nullptr; }
+  void push(T& x) {
+    x.next = nullptr;
+    (tail != nullptr ? tail->next : head) = &x;
+    tail = &x;
+  }
+  /// The oldest record, unlinked; nullptr when empty.
+  T* pop() {
+    T* x = head;
+    if (x != nullptr) {
+      head = x->next;
+      if (head == nullptr) tail = nullptr;
+    }
+    return x;
+  }
+};
+
 /// Rendezvous bookkeeping for one (src core, dst core) ordered pair.
 /// Matching is FIFO per pair; tags are cross-checked at match time.
 struct Channel {
   struct PendingSend {
     uint16_t tag = 0;
     sim::Event* recv_arrived = nullptr;  ///< notified when the RECV posts
+    PendingSend* next = nullptr;
   };
   struct PendingRecv {
     uint16_t tag = 0;
     uint32_t dst_addr = 0;
     uint64_t bytes = 0;
     sim::Event* delivered = nullptr;  ///< notified when payload is written
+    PendingRecv* next = nullptr;
   };
-  std::deque<PendingSend> sends;
-  std::deque<PendingRecv> recvs;
+  IntrusiveFifo<PendingSend> sends;
+  IntrusiveFifo<PendingRecv> recvs;
 };
 
 /// The chip interconnect: links, routing, rendezvous channels.
@@ -69,12 +97,30 @@ class Noc {
 
   Noc(sim::Kernel& kernel, const config::ArchConfig& cfg, EnergyMeter& energy);
 
-  /// XY route between two nodes as the list of traversed directed links.
-  /// Node id == core id, or kGlobalMemNode.
+  /// The rest of an XY route (X first, then Y): the router it stands at, the
+  /// end router, and the global-memory link still to take at either end.
+  struct Route {
+    uint16_t x = 0, y = 0;
+    uint16_t end_x = 0, end_y = 0;
+    bool gmem_first = false;
+    bool gmem_last = false;
+    /// Links left to traverse.
+    uint32_t hops() const {
+      return static_cast<uint32_t>((x > end_x ? x - end_x : end_x - x) +
+                                   (y > end_y ? y - end_y : end_y - y) + gmem_first +
+                                   gmem_last);
+    }
+  };
+
+  /// Route between two nodes. Node id == core id, or kGlobalMemNode.
+  Route route_of(uint16_t from, uint16_t to) const;
+  /// The next directed link of `r`, advancing it; nullptr once it is done.
+  Link* next_link(Route& r);
+  /// Every link of the route from `from` to `to`, in traversal order.
   std::vector<Link*> route(uint16_t from, uint16_t to);
 
   /// Mesh hops between two nodes (for analytic models and tests).
-  uint32_t hop_count(uint16_t from, uint16_t to) const;
+  uint32_t hop_count(uint16_t from, uint16_t to) const { return route_of(from, to).hops(); }
 
   Channel& channel(uint16_t src, uint16_t dst) { return channels_[key(src, dst)]; }
 
@@ -103,8 +149,6 @@ class Noc {
   }
   uint16_t node_x(uint16_t id) const { return static_cast<uint16_t>(id % cfg_.mesh_width); }
   uint16_t node_y(uint16_t id) const { return static_cast<uint16_t>(id / cfg_.mesh_width); }
-  /// Directed link from router `a` to adjacent router `b`.
-  Link& link_between(uint16_t a, uint16_t b);
 
   sim::Kernel& kernel_;
   const config::ArchConfig& cfg_;

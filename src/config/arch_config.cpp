@@ -29,7 +29,8 @@ void ArchConfig::validate() const {
           "mesh_width*mesh_height (" + std::to_string(mesh_cores) +
               ") must equal core_count (" + std::to_string(core_count) + ")");
   require(core.freq_mhz > 0, "core.freq_mhz must be > 0");
-  require(core.rob_size > 0, "core.rob_size must be > 0");
+  // The core allocates its ROB up front, one slot per entry.
+  require(core.rob_size > 0 && core.rob_size <= 4096, "core.rob_size must be in [1, 4096]");
   require(core.dispatch_width > 0, "core.dispatch_width must be > 0");
   require(core.register_count >= 4, "core.register_count must be >= 4");
   const auto& mx = core.matrix;

@@ -1,5 +1,7 @@
 #include "sim/kernel.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <exception>
 #include <utility>
@@ -8,6 +10,97 @@
 #include "telemetry/telemetry.h"
 
 namespace pim::sim {
+
+// ------------------------------------------------------------- frame pool
+
+#if defined(__SANITIZE_ADDRESS__)
+#define PIM_FRAME_POOL 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define PIM_FRAME_POOL 0
+#endif
+#endif
+#ifndef PIM_FRAME_POOL
+#define PIM_FRAME_POOL 1
+#endif
+
+namespace {
+
+#if PIM_FRAME_POOL
+constexpr size_t kFrameClassBytes = 64;
+constexpr size_t kFrameClasses = 16;    // pooled frames are at most 1 KiB
+constexpr uint32_t kFramePoolCap = 4096;  // free frames kept per class
+
+struct FreeFrame {
+  FreeFrame* next;
+};
+
+// Trivially destructible, so it stays usable after FramePoolDrain below has
+// run at thread exit; `closed` then sends every later free back to the heap.
+struct FramePool {
+  std::array<FreeFrame*, kFrameClasses> head;
+  std::array<uint32_t, kFrameClasses> count;
+  bool closed;
+};
+thread_local FramePool t_frames{};
+
+struct FramePoolDrain {
+  ~FramePoolDrain() {
+    for (size_t c = 0; c < kFrameClasses; ++c) {
+      while (FreeFrame* f = t_frames.head[c]) {
+        t_frames.head[c] = f->next;
+        ::operator delete(f, (c + 1) * kFrameClassBytes);
+      }
+      t_frames.count[c] = 0;
+    }
+    t_frames.closed = true;
+  }
+};
+thread_local FramePoolDrain t_frames_drain;
+
+/// Size class of a frame of `bytes`, or kFrameClasses when it is not pooled.
+size_t frame_class(size_t bytes) {
+  return bytes == 0 ? 0 : std::min((bytes - 1) / kFrameClassBytes, kFrameClasses);
+}
+#endif
+
+}  // namespace
+
+void* Process::promise_type::operator new(std::size_t bytes) {
+#if PIM_FRAME_POOL
+  const size_t c = frame_class(bytes);
+  if (c == kFrameClasses) return ::operator new(bytes);
+  if (FreeFrame* f = t_frames.head[c]) {
+    t_frames.head[c] = f->next;
+    --t_frames.count[c];
+    return f;
+  }
+  return ::operator new((c + 1) * kFrameClassBytes);
+#else
+  return ::operator new(bytes);
+#endif
+}
+
+void Process::promise_type::operator delete(void* frame, std::size_t bytes) noexcept {
+#if PIM_FRAME_POOL
+  const size_t c = frame_class(bytes);
+  if (c == kFrameClasses) {
+    ::operator delete(frame, bytes);
+    return;
+  }
+  if (t_frames.closed || t_frames.count[c] >= kFramePoolCap) {
+    ::operator delete(frame, (c + 1) * kFrameClassBytes);
+    return;
+  }
+  (void)&t_frames_drain;  // constructs the thread's drain on first use
+  auto* f = static_cast<FreeFrame*>(frame);
+  f->next = t_frames.head[c];
+  t_frames.head[c] = f;
+  ++t_frames.count[c];
+#else
+  ::operator delete(frame, bytes);
+#endif
+}
 
 // ------------------------------------------------------------------ Process
 
@@ -62,6 +155,39 @@ void Event::notify() {
 
 // ------------------------------------------------------------------- Kernel
 
+// Queue storage of destroyed kernels, kept per thread for the next one.
+// `t_spare_closed` is trivially destructible, so ~Kernel can still read it
+// after the thread's SpareQueues is gone (a kernel destroyed at thread exit).
+namespace {
+thread_local bool t_spare_closed = false;
+}  // namespace
+
+struct Kernel::SpareQueues {
+  std::vector<RingItem> ring;
+  std::vector<WheelNode> wheel_pool;
+  std::vector<HeapEntry> heap;
+  ~SpareQueues() { t_spare_closed = true; }
+};
+
+Kernel::SpareQueues* Kernel::spare_queues() {
+  if (t_spare_closed) return nullptr;
+  thread_local SpareQueues spare;
+  return &spare;
+}
+
+Kernel::Kernel(const Tuning& tuning) : tuning_(tuning) {
+  if (SpareQueues* spare = spare_queues()) {
+    // The ring's size is its capacity (a power of two); its contents are
+    // dead. The wheel pool and the heap keep their capacity and drop their
+    // entries.
+    ring_ = std::move(spare->ring);
+    wheel_pool_ = std::move(spare->wheel_pool);
+    wheel_pool_.clear();
+    heap_ = std::move(spare->heap);
+    heap_.clear();
+  }
+}
+
 Kernel::~Kernel() {
   destroying_ = true;
   // Destroy any still-suspended process frames so leak checkers stay quiet.
@@ -78,6 +204,13 @@ Kernel::~Kernel() {
   live_count_ = 0;
   for (void* frame : frames) {
     std::coroutine_handle<>::from_address(frame).destroy();
+  }
+  if (SpareQueues* spare = spare_queues()) {
+    if (ring_.size() > spare->ring.size()) spare->ring = std::move(ring_);
+    if (wheel_pool_.capacity() > spare->wheel_pool.capacity()) {
+      spare->wheel_pool = std::move(wheel_pool_);
+    }
+    if (heap_.capacity() > spare->heap.capacity()) spare->heap = std::move(heap_);
   }
 }
 

@@ -49,8 +49,20 @@
 //   * Intrusive bookkeeping. `Event`/`Resource` waiter FIFOs and the kernel's
 //     live-process set are singly/doubly-linked lists threaded through the
 //     coroutine promise (`Process::promise_type`); wheel nodes come from a
-//     free-listed pool; steady-state simulation performs zero allocations
-//     per event.
+//     free-listed pool.
+//   * Pooled frames. `promise_type` has its own operator new/delete: a
+//     finished process's frame goes onto a per-thread free list of its
+//     64-byte size class (capped; frames above 1 KiB bypass the pool) and
+//     the next spawn of that size takes it back. Together with the pooled
+//     wheel nodes and the ring, heap and callback-slot vectors, which only
+//     grow to their high-water mark, steady-state simulation performs zero
+//     allocations per event, a spawn included, once a first run on the
+//     thread has filled the free lists. Builds with AddressSanitizer bypass
+//     the pool, so every frame is a malloc ASan can check. The ring, the
+//     wheel-node pool and the heap are recycled the same way: a destroyed
+//     kernel leaves their storage to the next kernel built on its thread, so
+//     a run starts at the high-water mark of earlier runs instead of
+//     regrowing it.
 //
 // The kernel is single-threaded and deterministic: given the same inputs,
 // every simulation produces bit-identical results. `order_fingerprint()`
@@ -62,6 +74,7 @@
 #include <bit>
 #include <chrono>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -112,6 +125,11 @@ class Process {
     promise_type* live_prev = nullptr;
     promise_type* live_next = nullptr;
 
+    // Frames come from a per-thread pool (kernel.cpp), so the spawn of
+    // every issued instruction reuses a frame instead of calling malloc.
+    static void* operator new(std::size_t bytes);
+    static void operator delete(void* frame, std::size_t bytes) noexcept;
+
     Process get_return_object() { return Process(Handle::from_promise(*this)); }
     std::suspend_always initial_suspend() noexcept { return {}; }
     FinalAwaiter final_suspend() noexcept { return {}; }
@@ -135,6 +153,11 @@ class Process {
   ~Process() { destroy(); }
 
   bool valid() const { return static_cast<bool>(handle_); }
+
+  /// The frame of a process that is never spawned, for a model that
+  /// resumes it itself through Kernel::resume_at. It stays owned (and is
+  /// destroyed) by this Process, so it must outlive every scheduled resume.
+  std::coroutine_handle<> handle() const { return handle_; }
 
  private:
   friend class Kernel;
@@ -250,8 +273,8 @@ class Kernel {
     bool timer_wheel = true;
   };
 
-  Kernel() = default;
-  explicit Kernel(const Tuning& tuning) : tuning_(tuning) {}
+  Kernel() : Kernel(Tuning{}) {}
+  explicit Kernel(const Tuning& tuning);
   ~Kernel();
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
@@ -480,6 +503,11 @@ class Kernel {
 
   void wheel_cascade(uint32_t level, uint32_t slot);
   Time wheel_peek(Time bound);
+
+  struct SpareQueues;
+  /// This thread's storage left by destroyed kernels; nullptr once the
+  /// thread is exiting.
+  static SpareQueues* spare_queues();
 
   uint32_t fn_park(std::function<void()> fn);
   void run_callback(uint32_t fn);
