@@ -79,8 +79,10 @@ std::string scenario_key(const runtime::Scenario& s) {
   return scenario_key(s, s.workload.fingerprint());
 }
 
-std::string scenario_key(const runtime::Scenario& s, uint64_t workload_fingerprint) {
+std::string scenario_key(const runtime::Scenario& s, uint64_t workload_fingerprint,
+                         uint32_t model_version) {
   json::Value v;
+  v["model_version"] = json::Value(model_version);
   v["arch"] = s.arch.to_json();
   // The workload enters the key through its content fingerprint: for graph
   // files that hashes the parsed canonical graph, so editing the file is a

@@ -1,8 +1,8 @@
 // Content-addressed result cache for design-space exploration.
 //
 // Every evaluated point is keyed by the *full canonical description of the
-// simulation* — architecture configuration JSON, workload, input resolution
-// and compile options — so repeated and incremental explorations (a refined
+// simulation* — simulator model version, architecture configuration JSON,
+// workload, input resolution and compile options — so repeated and incremental explorations (a refined
 // space, a different sampler, a bigger budget) skip every point that has
 // already been simulated, regardless of which space file produced it.
 //
@@ -41,6 +41,13 @@
 
 namespace pim::dse {
 
+/// Version of the simulator's answers. Every result-cache key (pimdse,
+/// pimserved's L2) and every pimbatch and pimdse journal fingerprint names
+/// it, so results stored by a build that simulated differently are never
+/// replayed. Bump it whenever tests/golden/reports.json is re-recorded,
+/// i.e. whenever a change moves simulated answers on purpose.
+inline constexpr uint32_t kSimModelVersion = 1;
+
 /// FNV-1a 64-bit over `data` (stable across platforms and runs); forwards
 /// to the shared pim::fnv1a64 primitive.
 uint64_t fnv1a64(std::string_view data);
@@ -55,7 +62,9 @@ std::string scenario_key(const runtime::Scenario& s);
 /// Same key with the workload fingerprint supplied by the caller — the
 /// evaluator memoizes it across points sharing a workload, so a graph
 /// description file is parsed once per evaluation batch, not once per point.
-std::string scenario_key(const runtime::Scenario& s, uint64_t workload_fingerprint);
+/// `model_version` is kSimModelVersion except in tests.
+std::string scenario_key(const runtime::Scenario& s, uint64_t workload_fingerprint,
+                         uint32_t model_version = kSimModelVersion);
 
 /// Shared-cache location resolution used by the tools: `explicit_dir` when
 /// non-empty (a flag the user passed), else $PIMDSE_CACHE_DIR when set and

@@ -37,6 +37,7 @@ size_t ExploreResult::failed_count() const {
 
 std::string exploration_fingerprint(const SearchSpace& space, const ExploreOptions& opts) {
   json::Value f;
+  f["model_version"] = json::Value(kSimModelVersion);
   f["space"] = json::Value(space.name);
   f["base"] = space.base.to_json();
   // The workload contributes its *content* fingerprint: editing a graph

@@ -163,9 +163,11 @@ json::Value Server::handle_evaluate(const Request& req) {
     s.arch.sim.max_time_ps = opt_.default_max_time_ps;
   }
 
-  // Durable L2 lookup: the key is the full scenario cache key (architecture
-  // JSON incl. budgets, workload content fingerprint, compile options), so a
-  // stale hit is impossible; the "serve-report:" prefix keeps these whole-
+  // Durable L2 lookup: the key is the full scenario cache key (simulator
+  // model version, architecture JSON incl. budgets, workload content
+  // fingerprint, compile options), so an entry written for another scenario
+  // or by a build whose answers differ (a bumped dse::kSimModelVersion) never
+  // hits; the "serve-report:" prefix keeps these whole-
   // Report documents disjoint from pimdse's metric entries in a shared
   // --cache-dir. An unreadable graph file makes the key unavailable — run
   // the scenario anyway and let it produce the real error.

@@ -34,36 +34,42 @@ void* counted_alloc(std::size_t bytes, std::size_t align) {
 }
 }  // namespace
 
-void* operator new(std::size_t bytes) {
+// Out of line, so the compiler never pairs an inlined malloc with a delete
+// it cannot see through (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
   if (void* p = counted_alloc(bytes, 0)) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t bytes) {
+[[gnu::noinline]] void* operator new[](std::size_t bytes) {
   if (void* p = counted_alloc(bytes, 0)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t bytes, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t bytes, std::align_val_t align) {
   if (void* p = counted_alloc(bytes, static_cast<std::size_t>(align))) return p;
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t bytes, std::align_val_t align) {
+[[gnu::noinline]] void* operator new[](std::size_t bytes, std::align_val_t align) {
   if (void* p = counted_alloc(bytes, static_cast<std::size_t>(align))) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
   return counted_alloc(bytes, 0);
 }
-void* operator new[](std::size_t bytes, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new[](std::size_t bytes, const std::nothrow_t&) noexcept {
   return counted_alloc(bytes, 0);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace pim {
 namespace {

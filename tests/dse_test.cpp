@@ -448,6 +448,19 @@ TEST(CacheTest, HitMissAndCollisionSafety) {
   EXPECT_FALSE(off.load(key, &probe));
 }
 
+TEST(CacheTest, KeyNamesTheSimulatorModelVersion) {
+  // Results stored by a build whose simulated answers differ must miss.
+  const SearchSpace s = small_space();
+  const MaterializedPoint m = materialize(s, Point{{"rob_size", json::Value(4)}});
+  ASSERT_TRUE(m.feasible);
+  const uint64_t fp = m.scenario.workload.fingerprint();
+  const std::string v1 = scenario_key(m.scenario, fp, 1);
+  const std::string v2 = scenario_key(m.scenario, fp, 2);
+  EXPECT_NE(v1, v2);
+  EXPECT_NE(fnv1a64(v1), fnv1a64(v2));
+  EXPECT_EQ(scenario_key(m.scenario), scenario_key(m.scenario, fp, kSimModelVersion));
+}
+
 TEST(CacheTest, EvaluatorReusesResultsAcrossInstances) {
   const std::string dir = fresh_dir("evaluator");
   const SearchSpace s = small_space();

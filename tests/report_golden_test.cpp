@@ -15,8 +15,10 @@
 // pinned where issue order is most constrained and least.
 //
 // On a mismatch the test names each field that moved and writes the fresh
-// file next to the test binary (PIM_GOLDEN_FRESH); a change that moves the
-// answers on purpose copies that file over the golden and says why.
+// file into the build tree (PIM_GOLDEN_FRESH); a change that moves the
+// answers on purpose copies that file over the golden, says why, and bumps
+// dse::kSimModelVersion so stored results of the older build miss (see
+// tests/golden/README.md).
 #include <gtest/gtest.h>
 
 #include <bit>

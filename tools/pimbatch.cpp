@@ -57,8 +57,8 @@ extern "C" void on_sigint(int) {
 }
 
 /// Identity of one sweep for journal matching: every scenario's name plus its
-/// full simulation cache key (architecture JSON, workload content
-/// fingerprint, compile options), in sweep order. Changing anything that
+/// full simulation cache key (simulator model version, architecture JSON,
+/// workload content fingerprint, compile options), in sweep order. Changing anything that
 /// could change a result makes an old journal unusable.
 std::string sweep_fingerprint(const std::vector<runtime::Scenario>& scenarios) {
   json::Array arr;
