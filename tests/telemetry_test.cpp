@@ -74,7 +74,8 @@ TEST(TraceSink, BeginEndKeepEmissionOrderAtEqualTimestamps) {
   const uint32_t t = sink.tid(sink.pid("chip"), "lane");
   sink.begin(t, "zero_width", 7);
   sink.end(t, 7);  // same ts: stable sort must keep B before E
-  const json::Array& events = sink.to_json().at("traceEvents").as_array();
+  const json::Value doc = sink.to_json();
+  const json::Array& events = doc.at("traceEvents").as_array();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[2].at("ph").as_string(), "B");
   EXPECT_EQ(events[3].at("ph").as_string(), "E");
@@ -84,7 +85,8 @@ TEST(TraceSink, CounterEventCarriesValueInArgs) {
   TraceSink sink;
   const uint32_t t = sink.tid(sink.pid("chip"), "resource");
   sink.counter(t, "queue", 3.0, 42);
-  const json::Array& events = sink.to_json().at("traceEvents").as_array();
+  const json::Value doc = sink.to_json();
+  const json::Array& events = doc.at("traceEvents").as_array();
   const json::Value& c = events.back();
   EXPECT_EQ(c.at("ph").as_string(), "C");
   EXPECT_DOUBLE_EQ(c.at("args").at("value").as_double(), 3.0);
@@ -99,7 +101,8 @@ TEST(TraceSink, ScopedSpanEmitsOneCompleteEventAndNullSinkIsNoOp) {
     fake_now = 250;
   }
   ASSERT_EQ(sink.event_count(), 1u);
-  const json::Value& ev = sink.to_json().at("traceEvents").as_array().back();
+  const json::Value doc = sink.to_json();
+  const json::Value& ev = doc.at("traceEvents").as_array().back();
   EXPECT_EQ(ev.at("name").as_string(), "work");
   EXPECT_DOUBLE_EQ(ev.at("dur").as_double(), 150e-6);  // 150 ps in us
 
@@ -117,7 +120,8 @@ TEST(TraceSink, HostSpanUsesHostClock) {
   const uint32_t t = sink.tid(sink.pid("host"), "worker0");
   { HostSpan span(&sink, t, "scenario"); }
   ASSERT_EQ(sink.event_count(), 1u);
-  const json::Value& ev = sink.to_json().at("traceEvents").as_array().back();
+  const json::Value doc = sink.to_json();
+  const json::Value& ev = doc.at("traceEvents").as_array().back();
   EXPECT_EQ(ev.at("ph").as_string(), "X");
   EXPECT_GE(ev.at("dur").as_double(), 0.0);
 }
