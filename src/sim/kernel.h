@@ -62,7 +62,8 @@
 //     wheel-node pool and the heap are recycled the same way: a destroyed
 //     kernel leaves their storage to the next kernel built on its thread, so
 //     a run starts at the high-water mark of earlier runs instead of
-//     regrowing it.
+//     regrowing it. tests/alloc_count_test.cpp counts the allocations of a
+//     warm timing-only chip run: a few dozen per run, none per instruction.
 //
 // The kernel is single-threaded and deterministic: given the same inputs,
 // every simulation produces bit-identical results. `order_fingerprint()`

@@ -4,9 +4,9 @@
 // warm-up run on the same thread (which fills the coroutine-frame pool), a
 // timing-only Chip::run() of vgg8 on the paper preset must make fewer than
 // one heap allocation per 100 retired instructions, and its count must not
-// grow with the input size: what it allocates is per run (the kernel's
-// queues growing to their high-water mark, the first entry of each layer's
-// stats, the returned RunStats), never per instruction.
+// grow with the input size: what it allocates is per run (the map entry of
+// each layer's stats and of each channel, the cores' layer-stat caches, the
+// returned RunStats), never per instruction.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,55 +21,21 @@
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<uint64_t> g_allocations{0};
+}  // namespace
 
-void* counted_alloc(std::size_t bytes, std::size_t align) {
+// The array and nothrow forms forward to these by default, so
+// every allocation but an over-aligned one is counted. Out of line, so the
+// compiler never pairs an inlined malloc with a free it cannot see through
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
   }
-  if (bytes == 0) bytes = 1;
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (bytes + align - 1) / align * align)
-                : std::malloc(bytes);
-  return p;
-}
-}  // namespace
-
-// Out of line, so the compiler never pairs an inlined malloc with a delete
-// it cannot see through (-Wmismatched-new-delete).
-[[gnu::noinline]] void* operator new(std::size_t bytes) {
-  if (void* p = counted_alloc(bytes, 0)) return p;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
   throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t bytes) {
-  if (void* p = counted_alloc(bytes, 0)) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(std::size_t bytes, std::align_val_t align) {
-  if (void* p = counted_alloc(bytes, static_cast<std::size_t>(align))) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new[](std::size_t bytes, std::align_val_t align) {
-  if (void* p = counted_alloc(bytes, static_cast<std::size_t>(align))) return p;
-  throw std::bad_alloc();
-}
-[[gnu::noinline]] void* operator new(std::size_t bytes, const std::nothrow_t&) noexcept {
-  return counted_alloc(bytes, 0);
-}
-[[gnu::noinline]] void* operator new[](std::size_t bytes, const std::nothrow_t&) noexcept {
-  return counted_alloc(bytes, 0);
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace pim {
 namespace {
