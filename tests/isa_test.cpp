@@ -2,13 +2,20 @@
 // program container and structural verifier.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/strings.h"
+#include "compiler/compiler.h"
 #include "config/arch_config.h"
 #include "isa/assembler.h"
 #include "isa/isa.h"
 #include "isa/program.h"
+#include "isa_corpus.h"
+#include "json/json.h"
+#include "nn/models.h"
 
 namespace pim::isa {
 namespace {
@@ -738,6 +745,100 @@ TEST(Disassembly, StableStrings) {
   s.src1_addr = 0x200;
   s.len = 64;
   EXPECT_EQ(to_string(s), "send core=3, tag=7, 0x200, len=64, i8");
+}
+
+TEST(IsaCorpus, MaxFieldInstructionsRoundTripThroughBinaryAndText) {
+  for (const Instruction& in : corpus::max_field_instructions()) {
+    EXPECT_EQ(decode(encode(in)), in) << to_string(in);
+    const Program back = assemble(to_string(in));
+    ASSERT_EQ(back.cores.size(), 1u);
+    ASSERT_EQ(back.cores[0].code.size(), 1u);
+    EXPECT_EQ(back.cores[0].code[0], in) << to_string(in);
+  }
+}
+
+// ---------------------------------------------------------------- ISA golden
+//
+// The ISA's external forms, pinned in tests/golden/isa.json. For one
+// instruction per opcode with every field it carries at its maximum: the
+// encoded words, the assembly text, the program-JSON object, bytes_in() and
+// bytes_out(). The same five forms of every instruction of the encoder fuzz
+// corpus, folded into one hash. Hashes of the disassembly and of the program
+// JSON of every zoo network compiled for `paper` at input 16. On a mismatch
+// the test names what moved and writes the fresh file into the build tree
+// (PIM_ISA_GOLDEN_FRESH).
+
+std::string hex64(uint64_t v) { return strformat("%016llx", static_cast<unsigned long long>(v)); }
+
+json::Value forms(const Instruction& in) {
+  const EncodedInstruction enc = encode(in);
+  Program p;
+  p.cores.resize(1);
+  p.cores[0].code.push_back(in);
+  json::Value v;
+  v["words"] = json::Value(hex64(enc.word0) + " " + hex64(enc.word1));
+  v["text"] = json::Value(to_string(in));
+  v["json"] = p.to_json().at("cores").at(0).at("code").at(0);
+  v["bytes_in"] = json::Value(in.bytes_in());
+  v["bytes_out"] = json::Value(in.bytes_out());
+  return v;
+}
+
+json::Value isa_forms() {
+  json::Value golden;
+  json::Array ops;
+  for (const Instruction& in : corpus::max_field_instructions()) ops.push_back(forms(in));
+  golden["opcodes"] = json::Value(std::move(ops));
+
+  const std::vector<Instruction> fuzz = corpus::fuzz_instructions();
+  std::string records;
+  for (const Instruction& in : fuzz) records += forms(in).dump() + "\n";
+  json::Value f;
+  f["count"] = json::Value(fuzz.size());
+  f["fnv1a64"] = json::Value(hex64(fnv1a64(records)));
+  golden["fuzz_0xc0dec"] = std::move(f);
+
+  const config::ArchConfig cfg = config::ArchConfig::paper_default();
+  compiler::CompileOptions copts;
+  copts.include_weights = false;
+  json::Value zoo;
+  for (const std::string& name : nn::model_names()) {
+    nn::ModelOptions mo;
+    mo.input_hw = 16;
+    const Program p = compiler::compile(nn::build_model(name, mo), cfg, copts);
+    json::Value z;
+    z["disassembly"] = json::Value(hex64(fnv1a64(disassemble(p))));
+    z["program_json"] = json::Value(hex64(fnv1a64(p.to_json(false).dump())));
+    zoo[name] = std::move(z);
+  }
+  golden["zoo_paper_16"] = std::move(zoo);
+  return golden;
+}
+
+TEST(IsaGolden, ExternalFormsMatchTheRecordedFile) {
+  const json::Value fresh = isa_forms();
+  json::Value recorded;
+  try {
+    recorded = json::parse_file(PIM_ISA_GOLDEN);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "cannot read " << PIM_ISA_GOLDEN << ": " << e.what();
+  }
+  if (recorded.dump() == fresh.dump()) return;
+  json::write_file(PIM_ISA_GOLDEN_FRESH, fresh);
+  ADD_FAILURE() << "ISA forms moved; fresh file written to " << PIM_ISA_GOLDEN_FRESH;
+  if (!recorded.is_object()) return;
+  const json::Array& now = fresh.at("opcodes").as_array();
+  for (size_t i = 0; i < now.size(); ++i) {
+    const std::string was =
+        recorded.contains("opcodes") && i < recorded.at("opcodes").size()
+            ? recorded.at("opcodes").at(i).dump()
+            : "";
+    EXPECT_EQ(was, now[i].dump()) << "opcode entry " << i;
+  }
+  for (const char* key : {"fuzz_0xc0dec", "zoo_paper_16"}) {
+    EXPECT_EQ(recorded.contains(key) ? recorded.at(key).dump() : "", fresh.at(key).dump())
+        << key;
+  }
 }
 
 }  // namespace

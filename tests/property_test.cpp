@@ -21,6 +21,7 @@
 #include "compiler/compiler.h"
 #include "config/arch_config.h"
 #include "isa/assembler.h"
+#include "isa_corpus.h"
 #include "json/json.h"
 #include "nn/executor.h"
 #include "nn/models.h"
@@ -121,90 +122,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomNetworkPipeline, ::testing::Range<uint64_t
 
 // --------------------------------------------------- encoder round-trip fuzz
 
-isa::Instruction random_instruction(Rng& rng) {
-  static const isa::Opcode ops[] = {
-      isa::Opcode::MVM, isa::Opcode::VADD, isa::Opcode::VSUB, isa::Opcode::VMUL,
-      isa::Opcode::VMAX, isa::Opcode::VMIN, isa::Opcode::VADDI, isa::Opcode::VMULI,
-      isa::Opcode::VSHR, isa::Opcode::VDIVI, isa::Opcode::VRELU, isa::Opcode::VMOV,
-      isa::Opcode::VSET, isa::Opcode::VQUANT, isa::Opcode::VDEQUANT, isa::Opcode::SEND,
-      isa::Opcode::RECV, isa::Opcode::GLOAD, isa::Opcode::GSTORE, isa::Opcode::LDI,
-      isa::Opcode::SADD, isa::Opcode::SADDI, isa::Opcode::JMP, isa::Opcode::BNE,
-      isa::Opcode::NOP, isa::Opcode::HALT};
-  isa::Instruction in;
-  in.op = ops[rng.uniform(0, std::size(ops) - 1)];
-  in.dtype = rng.uniform(0, 1) != 0 ? isa::DType::I32 : isa::DType::I8;
-  switch (in.cls()) {
-    case isa::InstrClass::Matrix:
-      in.group = static_cast<uint16_t>(rng.uniform(0, 0xFFFF));
-      in.dst_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFFF));
-      in.src1_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFFF));
-      in.len = static_cast<uint32_t>(rng.uniform(1, 0xFFFF));
-      in.dtype = isa::DType::I8;
-      break;
-    case isa::InstrClass::Vector:
-      in.dst_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-      in.len = static_cast<uint32_t>(rng.uniform(1, 0xFFF));
-      if (in.op != isa::Opcode::VSET) {
-        in.src1_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-      }
-      if (isa::uses_vector_imm(in.op)) {
-        in.imm = static_cast<int32_t>(rng.uniform(-(1 << 19), (1 << 19) - 1));
-      } else if (in.op == isa::Opcode::VADD || in.op == isa::Opcode::VSUB ||
-                 in.op == isa::Opcode::VMUL || in.op == isa::Opcode::VMAX ||
-                 in.op == isa::Opcode::VMIN) {
-        in.src2_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-      }
-      break;
-    case isa::InstrClass::Transfer:
-      if (in.op == isa::Opcode::SEND || in.op == isa::Opcode::RECV) {
-        // Tags exist only for the rendezvous pair ops; global-memory
-        // transfers carry none (and the text format omits it).
-        in.tag = static_cast<uint16_t>(rng.uniform(0, 0xFFFF));
-        in.core = static_cast<uint16_t>(rng.uniform(0, 0xFFFF));
-        in.len = static_cast<uint32_t>(rng.uniform(1, 0xFFFF));
-        if (in.op == isa::Opcode::SEND) {
-          in.src1_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-        } else {
-          in.dst_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-        }
-      } else {
-        in.len = static_cast<uint32_t>(rng.uniform(1, 0xFFF));
-        in.imm = static_cast<int32_t>(rng.uniform(INT32_MIN, INT32_MAX));
-        if (in.op == isa::Opcode::GSTORE) {
-          in.src1_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-        } else {
-          in.dst_addr = static_cast<uint32_t>(rng.uniform(0, 0xFFFFF));
-        }
-      }
-      break;
-    case isa::InstrClass::Scalar:
-      in.dtype = isa::DType::I8;
-      if (in.op == isa::Opcode::LDI || in.op == isa::Opcode::SADDI) {
-        in.rd = static_cast<uint8_t>(rng.uniform(0, 31));
-        in.imm = static_cast<int32_t>(rng.uniform(INT32_MIN, INT32_MAX));
-      }
-      if (in.op == isa::Opcode::SADD) {
-        in.rd = static_cast<uint8_t>(rng.uniform(0, 31));
-        in.rs1 = static_cast<uint8_t>(rng.uniform(0, 31));
-        in.rs2 = static_cast<uint8_t>(rng.uniform(0, 31));
-      }
-      if (in.op == isa::Opcode::SADDI || in.op == isa::Opcode::BNE) {
-        in.rs1 = static_cast<uint8_t>(rng.uniform(0, 31));
-      }
-      if (in.op == isa::Opcode::BNE) {
-        in.rs2 = static_cast<uint8_t>(rng.uniform(0, 31));
-        in.imm = static_cast<int32_t>(rng.uniform(0, 1000));
-      }
-      if (in.op == isa::Opcode::JMP) in.imm = static_cast<int32_t>(rng.uniform(0, 1000));
-      break;
-  }
-  return in;
-}
+using isa::corpus::random_instruction;
 
 TEST(EncodingFuzz, TenThousandRandomInstructionsRoundTrip) {
-  Rng rng(0xC0DEC);
-  for (int i = 0; i < 10000; ++i) {
-    isa::Instruction in = random_instruction(rng);
+  const std::vector<isa::Instruction> corpus = isa::corpus::fuzz_instructions();
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    const isa::Instruction& in = corpus[i];
     isa::Instruction out = isa::decode(isa::encode(in));
     ASSERT_EQ(out, in) << "iteration " << i << ": " << isa::to_string(in);
   }
@@ -220,7 +143,7 @@ TEST(AssemblerFuzz, RandomProgramsRoundTripThroughText) {
       for (int i = 0; i < n; ++i) {
         isa::Instruction in = random_instruction(rng);
         // Branch targets must be in range for the re-assembled program.
-        if (in.op == isa::Opcode::JMP || in.op == isa::Opcode::BNE) {
+        if (isa::is_branch(in.op)) {
           in.imm = static_cast<int32_t>(rng.uniform(0, n));
         }
         cp.code.push_back(in);
