@@ -12,7 +12,6 @@
 
 namespace pim::arch {
 
-using isa::DType;
 using isa::GroupDef;
 using isa::Instruction;
 using isa::InstrClass;
@@ -156,38 +155,19 @@ sim::Process Core::dispatch_proc() {
 }
 
 void Core::fill_hazard_info(RobEntry& e) const {
+  // Local-memory ranges and registers as the ISA gives them. An MVM writes
+  // its group's out_len int32 partial sums.
   const Instruction& in = *e.instr;
-  if (e.cls == InstrClass::Scalar) {
-    auto reg_bit = [](uint8_t r) { return r == 0 ? 0u : (1u << r); };
-    switch (in.op) {
-      case Opcode::LDI:
-        e.reg_writes = reg_bit(in.rd);
-        break;
-      case Opcode::SADDI:
-        e.reg_reads = reg_bit(in.rs1);
-        e.reg_writes = reg_bit(in.rd);
-        break;
-      case Opcode::JMP: case Opcode::NOP: case Opcode::HALT:
-        break;
-      default:  // conditional branch or three-register ALU
-        e.reg_reads = reg_bit(in.rs1) | reg_bit(in.rs2);
-        if (!isa::is_branch(in.op)) e.reg_writes = reg_bit(in.rd);
-        break;
+  const uint32_t out_len = e.cls == InstrClass::Matrix ? group(in.group).out_len : 0;
+  for (const isa::LocalRange& r : isa::local_ranges(in, out_len)) {
+    if (r.write) {
+      e.write = r;
+    } else {
+      e.reads[e.read_count++] = r;
     }
-    return;
   }
-  // Local-memory ranges, sized by the ISA. An MVM writes its group's
-  // out_len int32 partial sums.
-  const uint64_t in_bytes = in.bytes_in();
-  const bool two_sources = isa::has_vector_src2(in.op);
-  auto read = [&e](uint32_t addr, uint64_t bytes) {
-    if (bytes) e.reads[e.read_count++] = Range{addr, bytes};
-  };
-  read(in.src1_addr, two_sources ? in_bytes / 2 : in_bytes);
-  if (two_sources) read(in.src2_addr, in_bytes / 2);
-  const uint64_t out_bytes =
-      e.cls == InstrClass::Matrix ? 4ull * group(in.group).out_len : in.bytes_out();
-  e.write = Range{in.dst_addr, out_bytes};
+  e.reg_reads = isa::regs_read(in);
+  e.reg_writes = isa::regs_written(in);
 }
 
 bool Core::conflicts(const RobEntry& e, const RobEntry& o) {
@@ -422,31 +402,19 @@ sim::Process Core::exec_vector(RobEntry& e) {
   // throughout, so no other vector instruction touches the buffer.
   if (cfg_.sim.functional) {
     vector_out_.assign(bytes_out, 0);
-    auto load1 = [&](uint32_t i) -> int64_t {
-      if (in.op == Opcode::VQUANT) {
-        int32_t v;
-        std::memcpy(&v, lm_.data() + in.src1_addr + 4ull * i, 4);
-        return v;
-      }
-      if (in.op == Opcode::VDEQUANT || in.dtype == DType::I8) {
-        return *reinterpret_cast<const int8_t*>(lm_.data() + in.src1_addr + i);
-      }
+    // Element widths from the ISA: i8 sources sign-extend, i8 destinations
+    // saturate (VQUANT saturated already; saturate_i8 is then the identity),
+    // i32 destinations store the low 32 bits.
+    const bool src_i8 = isa::src_width(in) == 1;
+    const bool out_i8 = isa::dst_width(in) == 1;
+    auto load = [&](uint32_t addr, uint32_t i) -> int64_t {
+      if (src_i8) return *reinterpret_cast<const int8_t*>(lm_.data() + addr + i);
       int32_t v;
-      std::memcpy(&v, lm_.data() + in.src1_addr + 4ull * i, 4);
+      std::memcpy(&v, lm_.data() + addr + 4ull * i, 4);
       return v;
     };
-    auto load2 = [&](uint32_t i) -> int64_t {
-      if (in.dtype == DType::I8) {
-        return *reinterpret_cast<const int8_t*>(lm_.data() + in.src2_addr + i);
-      }
-      int32_t v;
-      std::memcpy(&v, lm_.data() + in.src2_addr + 4ull * i, 4);
-      return v;
-    };
-    // i8 destinations saturate (VQUANT saturated already; saturate_i8 is
-    // then the identity). i32 destinations store the low 32 bits.
-    const bool out_i8 =
-        in.op == Opcode::VQUANT || (in.dtype == DType::I8 && in.op != Opcode::VDEQUANT);
+    auto load1 = [&](uint32_t i) { return load(in.src1_addr, i); };
+    auto load2 = [&](uint32_t i) { return load(in.src2_addr, i); };
     auto store = [&](uint32_t i, int64_t v) {
       if (out_i8) {
         vector_out_[i] = static_cast<uint8_t>(saturate_i8(v));

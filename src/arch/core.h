@@ -20,9 +20,11 @@
 //    or the global-memory port for GLOAD), the SEND rendezvous, one walk
 //    over the route's links, destination access (the peer's or this core's
 //    local memory, or the global-memory port for GSTORE).
-//  * Operand sizes come from the ISA, not from a table here: hazard ranges,
-//    port occupancy and energy use Instruction::bytes_in()/bytes_out(),
-//    isa::has_vector_src2 and isa::is_branch.
+//  * Operands come from the ISA's operand table, not from a table here:
+//    hazard ranges are isa::local_ranges, register hazards
+//    isa::regs_read/regs_written, port occupancy and energy
+//    Instruction::bytes_in()/bytes_out(), functional vector element widths
+//    isa::src_width/dst_width, and the front end stalls on isa::is_branch.
 //
 // Bookkeeping cost (the simulated behaviour does not depend on it):
 //  * The ROB is a ring of rob_size slots with stable addresses; an entry's
@@ -97,14 +99,6 @@ class Core {
   CoreStats& stats() { return my_stats_; }
 
  private:
-  struct Range {
-    uint32_t addr = 0;
-    uint64_t bytes = 0;
-    bool overlaps(const Range& o) const {
-      return bytes != 0 && o.bytes != 0 && addr < o.addr + o.bytes && o.addr < addr + bytes;
-    }
-  };
-
   static constexpr uint64_t kNoEntry = ~uint64_t{0};
 
   struct RobEntry {
@@ -119,9 +113,9 @@ class Core {
     uint64_t next_of_class = kNoEntry;
     enum class State { Waiting, Executing, Done } state = State::Waiting;
     isa::InstrClass cls = isa::InstrClass::Scalar;
-    Range reads[2];
+    isa::LocalRange reads[2];
     int read_count = 0;
-    Range write;
+    isa::LocalRange write;
     uint32_t reg_reads = 0;   ///< bitmask of registers read
     uint32_t reg_writes = 0;  ///< bitmask of registers written
     sim::Time issue_ps = 0;

@@ -147,14 +147,14 @@ class Codegen {
   /// Chunked element-wise vector instruction.
   void vec(uint16_t core, Opcode op, DType dt, uint32_t dst, uint32_t src1, uint32_t src2,
            int32_t imm, uint32_t elems, int32_t layer) {
-    const uint32_t es = isa::dtype_size(dt);
-    const uint32_t es_dst = op == Opcode::VQUANT ? 1 : op == Opcode::VDEQUANT ? 4 : es;
-    const uint32_t es_src = op == Opcode::VQUANT ? 4 : op == Opcode::VDEQUANT ? 1 : es;
+    Instruction proto;
+    proto.op = op;
+    proto.dtype = dt;
+    const uint32_t es_dst = isa::dst_width(proto);
+    const uint32_t es_src = isa::src_width(proto);
     for (uint32_t off = 0; off < elems; off += kVecChunk) {
       const uint32_t n = std::min(kVecChunk, elems - off);
-      Instruction in;
-      in.op = op;
-      in.dtype = dt;
+      Instruction in = proto;
       in.dst_addr = dst + off * es_dst;
       if (op != Opcode::VSET) in.src1_addr = src1 + off * es_src;
       if (!isa::uses_vector_imm(op)) in.src2_addr = src2 + off * es_src;

@@ -1,5 +1,6 @@
 #include "isa/assembler.h"
 
+#include <cctype>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -148,133 +149,55 @@ Program assemble(std::string_view text) {
     Instruction in;
     in.op = op;
 
-    auto named_int = [&](const char* key, int64_t fallback) {
-      auto it = ops.named.find(key);
-      return it == ops.named.end() ? fallback : parse_int(it->second, line_no);
-    };
-    auto pos = [&](size_t i) -> const std::string& {
-      if (i >= ops.positional.size()) fail(line_no, "missing operand");
-      return ops.positional[i];
-    };
-
-    switch (instr_class(op)) {
-      case InstrClass::Matrix: {
-        // mvm g<id>, <dst>, <src1>, len=<n>
-        const std::string& g = pos(0);
-        if (g.empty() || (g[0] != 'g' && g[0] != 'G')) fail(line_no, "mvm expects group gN");
-        in.group = static_cast<uint16_t>(parse_int(g.substr(1), line_no));
-        in.dst_addr = static_cast<uint32_t>(parse_int(pos(1), line_no));
-        in.src1_addr = static_cast<uint32_t>(parse_int(pos(2), line_no));
-        in.len = static_cast<uint32_t>(named_int("len", 0));
-        break;
+    // Fields in text order: positional ones take the operands in turn,
+    // named ones ("len=64") may stand anywhere. A bare i8/i32 operand names
+    // the element type, and a two-source vector op may leave out src2.
+    const Format& format = *op_info(op).format;
+    if (format.dtype) {
+      std::erase_if(ops.positional, [&](const std::string& tok) {
+        if (tok != "i8" && tok != "i32") return false;
+        in.dtype = parse_dtype(tok, line_no);
+        return true;
+      });
+    }
+    size_t next = 0;
+    for (const Operand& o : format.operands()) {
+      if (o.syntax == Syntax::Named) {
+        auto it = ops.named.find(field_name(o.field));
+        if (it != ops.named.end()) set_field(in, o.field, parse_int(it->second, line_no));
+        continue;
       }
-      case InstrClass::Vector: {
-        // A trailing bare i8/i32 token selects the element type.
-        if (!ops.positional.empty() &&
-            (ops.positional.back() == "i8" || ops.positional.back() == "i32")) {
-          in.dtype = parse_dtype(ops.positional.back(), line_no);
-          ops.positional.pop_back();
-        }
-        in.dst_addr = static_cast<uint32_t>(parse_int(pos(0), line_no));
-        if (op == Opcode::VSET) {
-          in.imm = static_cast<int32_t>(named_int("imm", 0));
-        } else {
-          in.src1_addr = static_cast<uint32_t>(parse_int(pos(1), line_no));
-          if (uses_vector_imm(op)) {
-            in.imm = static_cast<int32_t>(named_int("imm", 0));
-          } else if (ops.positional.size() > 2) {
-            in.src2_addr = static_cast<uint32_t>(parse_int(pos(2), line_no));
-          }
-        }
-        in.len = static_cast<uint32_t>(named_int("len", 0));
-        break;
+      if (next == ops.positional.size()) {
+        if (o.field == Field::Src2) continue;
+        fail(line_no, strformat("%s: missing %s operand", mnemonic.c_str(), field_name(o.field)));
       }
-      case InstrClass::Transfer: {
-        in.core = static_cast<uint16_t>(named_int("core", 0));
-        in.tag = static_cast<uint16_t>(named_int("tag", 0));
-        in.len = static_cast<uint32_t>(named_int("len", 0));
-        // dtype is the trailing bare operand if present.
-        std::vector<std::string> addrs;
-        for (const std::string& p : ops.positional) {
-          if (p == "i8" || p == "i32") {
-            in.dtype = parse_dtype(p, line_no);
-          } else {
-            addrs.push_back(p);
+      const std::string& tok = ops.positional[next++];
+      int64_t v = 0;
+      switch (o.syntax) {
+        case Syntax::Addr:
+        case Syntax::Global:
+          v = parse_int(starts_with(tok, "g:") ? tok.substr(2) : tok, line_no);
+          break;
+        case Syntax::Group:
+          if (tok.empty() || (tok[0] != 'g' && tok[0] != 'G')) {
+            fail(line_no, "expected a group (gN), got '" + tok + "'");
           }
-        }
-        auto addr_of = [&](const std::string& tok) -> uint32_t {
-          if (starts_with(tok, "g:")) return static_cast<uint32_t>(parse_int(tok.substr(2), line_no));
-          return static_cast<uint32_t>(parse_int(tok, line_no));
-        };
-        switch (op) {
-          case Opcode::SEND:
-            if (addrs.empty()) fail(line_no, "send needs a source address");
-            in.src1_addr = addr_of(addrs[0]);
-            break;
-          case Opcode::RECV:
-            if (addrs.empty()) fail(line_no, "recv needs a destination address");
-            in.dst_addr = addr_of(addrs[0]);
-            break;
-          case Opcode::GLOAD:
-            if (addrs.size() < 2) fail(line_no, "gload needs <dst>, g:<addr>");
-            in.dst_addr = addr_of(addrs[0]);
-            in.imm = static_cast<int32_t>(addr_of(addrs[1]));
-            break;
-          case Opcode::GSTORE:
-            if (addrs.size() < 2) fail(line_no, "gstore needs g:<addr>, <src>");
-            in.imm = static_cast<int32_t>(addr_of(addrs[0]));
-            in.src1_addr = addr_of(addrs[1]);
-            break;
-          default:
-            fail(line_no, "unhandled transfer op");
-        }
-        break;
+          v = parse_int(tok.substr(1), line_no);
+          break;
+        case Syntax::Reg: v = parse_reg(tok, line_no); break;
+        case Syntax::Target:
+          if (tok.empty() || !(std::isdigit(static_cast<unsigned char>(tok[0])) ||
+                               tok[0] == '-' || tok[0] == '+')) {
+            fixups.push_back({current_core, program.cores[current_core].code.size(), tok,
+                              line_no});
+            continue;
+          }
+          v = parse_int(tok, line_no);
+          break;
+        case Syntax::Int: v = parse_int(tok, line_no); break;
+        case Syntax::Named: break;
       }
-      case InstrClass::Scalar: {
-        switch (op) {
-          case Opcode::LDI:
-            in.rd = parse_reg(pos(0), line_no);
-            in.imm = static_cast<int32_t>(parse_int(pos(1), line_no));
-            break;
-          case Opcode::SADDI:
-            in.rd = parse_reg(pos(0), line_no);
-            in.rs1 = parse_reg(pos(1), line_no);
-            in.imm = static_cast<int32_t>(parse_int(pos(2), line_no));
-            break;
-          case Opcode::JMP: {
-            const std::string& target = pos(0);
-            if (!target.empty() && (std::isdigit(static_cast<unsigned char>(target[0])) ||
-                                    target[0] == '-' || target[0] == '+')) {
-              in.imm = static_cast<int32_t>(parse_int(target, line_no));
-            } else {
-              fixups.push_back({current_core, program.cores[current_core].code.size(), target,
-                                line_no});
-            }
-            break;
-          }
-          case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT: case Opcode::BGE: {
-            in.rs1 = parse_reg(pos(0), line_no);
-            in.rs2 = parse_reg(pos(1), line_no);
-            const std::string& target = pos(2);
-            if (!target.empty() && (std::isdigit(static_cast<unsigned char>(target[0])) ||
-                                    target[0] == '-' || target[0] == '+')) {
-              in.imm = static_cast<int32_t>(parse_int(target, line_no));
-            } else {
-              fixups.push_back({current_core, program.cores[current_core].code.size(), target,
-                                line_no});
-            }
-            break;
-          }
-          case Opcode::NOP: case Opcode::HALT:
-            break;
-          default:
-            in.rd = parse_reg(pos(0), line_no);
-            in.rs1 = parse_reg(pos(1), line_no);
-            in.rs2 = parse_reg(pos(2), line_no);
-            break;
-        }
-        break;
-      }
+      set_field(in, o.field, v);
     }
     program.cores[current_core].code.push_back(in);
   }

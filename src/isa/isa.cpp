@@ -8,42 +8,140 @@
 namespace pim::isa {
 
 namespace {
-struct OpInfo {
+
+using F = Field;
+using S = Syntax;
+
+// Operand formats. A field's slot is {word, lsb, bits}; isa.h draws the
+// same layout.
+constexpr Operand kVecDst{F::Dst, 1, 40, 20, S::Addr};
+constexpr Operand kVecSrc1{F::Src1, 1, 0, 20, S::Addr};
+constexpr Operand kVecSrc2{F::Src2, 1, 20, 20, S::Addr};
+constexpr Operand kVecImm{F::Imm, 1, 20, 20, S::Named};
+constexpr Operand kShortLen{F::Len, 0, 36, 12, S::Named};  // vector, gload, gstore
+constexpr Operand kPeer{F::Core, 1, 36, 16, S::Named};
+constexpr Operand kTag{F::Tag, 0, 48, 16, S::Named};
+constexpr Operand kPairLen{F::Len, 1, 20, 16, S::Named};  // send, recv
+constexpr Operand kGlobal{F::Imm, 1, 32, 32, S::Global};
+constexpr Operand kRd{F::Rd, 0, 16, 8, S::Reg};
+constexpr Operand kRs1{F::Rs1, 0, 24, 8, S::Reg};
+constexpr Operand kRs2{F::Rs2, 0, 32, 8, S::Reg};
+constexpr Operand kScalarImm{F::Imm, 1, 0, 32, S::Int};
+constexpr Operand kTarget{F::Imm, 1, 0, 32, S::Target};
+
+constexpr Access kVecWrite{F::Dst, true, "vector dst"};
+constexpr Access kVecRead1{F::Src1, false, "vector src1"};
+
+constexpr Format kMvm{{{F::Group, 0, 48, 16, S::Group},
+                       {F::Dst, 1, 24, 24, S::Addr},
+                       {F::Src1, 1, 0, 24, S::Addr},
+                       {F::Len, 1, 48, 16, S::Named}},
+                      {{F::Src1, false, "mvm input"}, {F::Dst, true, "mvm output"}},
+                      false};
+// One-source ops carry src2 all the same (it encodes and prints) but never
+// read it.
+constexpr Format kVecTwoSrc{{kVecDst, kVecSrc1, kVecSrc2, kShortLen},
+                            {kVecWrite, kVecRead1, {F::Src2, false, "vector src2"}},
+                            true};
+constexpr Format kVecOneSrc{{kVecDst, kVecSrc1, kVecSrc2, kShortLen}, {kVecWrite, kVecRead1}, true};
+constexpr Format kVecImmForm{{kVecDst, kVecSrc1, kVecImm, kShortLen}, {kVecWrite, kVecRead1}, true};
+constexpr Format kVecSet{{kVecDst, kVecImm, kShortLen}, {kVecWrite}, true};
+constexpr Format kSend{{kPeer, kTag, {F::Src1, 1, 0, 20, S::Addr}, kPairLen},
+                       {{F::Src1, false, "send src"}},
+                       true};
+constexpr Format kRecv{{kPeer, kTag, {F::Dst, 1, 0, 20, S::Addr}, kPairLen},
+                       {{F::Dst, true, "recv dst"}},
+                       true};
+constexpr Format kGload{{{F::Dst, 1, 0, 20, S::Addr}, kGlobal, kShortLen},
+                        {{F::Dst, true, "global transfer local side"}},
+                        true};
+constexpr Format kGstore{{kGlobal, {F::Src1, 1, 0, 20, S::Addr}, kShortLen},
+                         {{F::Src1, false, "global transfer local side"}},
+                         true};
+constexpr Format kLdi{{kRd, kScalarImm}, {}, false};
+constexpr Format kRegImm{{kRd, kRs1, kScalarImm}, {}, false};
+constexpr Format kRegReg{{kRd, kRs1, kRs2}, {}, false};
+constexpr Format kJump{{kTarget}, {}, false};
+constexpr Format kBranch{{kRs1, kRs2, kTarget}, {}, false};
+constexpr Format kNone{{}, {}, false};
+
+struct OpDef {
   Opcode op;
-  const char* name;
+  OpInfo info;
 };
 
-constexpr OpInfo kOps[] = {
-    {Opcode::MVM, "mvm"},
-    {Opcode::VADD, "vadd"},     {Opcode::VSUB, "vsub"},     {Opcode::VMUL, "vmul"},
-    {Opcode::VMAX, "vmax"},     {Opcode::VMIN, "vmin"},     {Opcode::VADDI, "vaddi"},
-    {Opcode::VMULI, "vmuli"},   {Opcode::VSHR, "vshr"},     {Opcode::VDIVI, "vdivi"},
-    {Opcode::VRELU, "vrelu"},
-    {Opcode::VSIGMOID, "vsigmoid"}, {Opcode::VTANH, "vtanh"},
-    {Opcode::VMOV, "vmov"},     {Opcode::VSET, "vset"},     {Opcode::VQUANT, "vquant"},
-    {Opcode::VDEQUANT, "vdequant"},
-    {Opcode::SEND, "send"},     {Opcode::RECV, "recv"},
-    {Opcode::GLOAD, "gload"},   {Opcode::GSTORE, "gstore"},
-    {Opcode::LDI, "ldi"},       {Opcode::SADD, "sadd"},     {Opcode::SSUB, "ssub"},
-    {Opcode::SMUL, "smul"},     {Opcode::SADDI, "saddi"},   {Opcode::SAND, "sand"},
-    {Opcode::SOR, "sor"},       {Opcode::SXOR, "sxor"},     {Opcode::SSLL, "ssll"},
-    {Opcode::SSRA, "ssra"},     {Opcode::JMP, "jmp"},       {Opcode::BEQ, "beq"},
-    {Opcode::BNE, "bne"},       {Opcode::BLT, "blt"},       {Opcode::BGE, "bge"},
-    {Opcode::NOP, "nop"},       {Opcode::HALT, "halt"},
+constexpr uint8_t kDtype = 0;  // element width from the instruction's dtype
+
+// The ISA: one row per opcode, {mnemonic, format, source width, destination
+// width}.
+constexpr OpDef kOps[] = {
+    {Opcode::MVM, {"mvm", &kMvm, 1, 4}},
+    {Opcode::VADD, {"vadd", &kVecTwoSrc, kDtype, kDtype}},
+    {Opcode::VSUB, {"vsub", &kVecTwoSrc, kDtype, kDtype}},
+    {Opcode::VMUL, {"vmul", &kVecTwoSrc, kDtype, kDtype}},
+    {Opcode::VMAX, {"vmax", &kVecTwoSrc, kDtype, kDtype}},
+    {Opcode::VMIN, {"vmin", &kVecTwoSrc, kDtype, kDtype}},
+    {Opcode::VADDI, {"vaddi", &kVecImmForm, kDtype, kDtype}},
+    {Opcode::VMULI, {"vmuli", &kVecImmForm, kDtype, kDtype}},
+    {Opcode::VSHR, {"vshr", &kVecImmForm, kDtype, kDtype}},
+    {Opcode::VDIVI, {"vdivi", &kVecImmForm, kDtype, kDtype}},
+    {Opcode::VRELU, {"vrelu", &kVecOneSrc, kDtype, kDtype}},
+    {Opcode::VSIGMOID, {"vsigmoid", &kVecOneSrc, kDtype, kDtype}},
+    {Opcode::VTANH, {"vtanh", &kVecOneSrc, kDtype, kDtype}},
+    {Opcode::VMOV, {"vmov", &kVecOneSrc, kDtype, kDtype}},
+    {Opcode::VSET, {"vset", &kVecSet, kDtype, kDtype}},
+    {Opcode::VQUANT, {"vquant", &kVecImmForm, 4, 1}},
+    {Opcode::VDEQUANT, {"vdequant", &kVecOneSrc, 1, 4}},
+    {Opcode::SEND, {"send", &kSend, kDtype, kDtype}},
+    {Opcode::RECV, {"recv", &kRecv, kDtype, kDtype}},
+    {Opcode::GLOAD, {"gload", &kGload, kDtype, kDtype}},
+    {Opcode::GSTORE, {"gstore", &kGstore, kDtype, kDtype}},
+    // Scalar ops touch no local memory, so their widths are unused.
+    {Opcode::LDI, {"ldi", &kLdi, 0, 0}},
+    {Opcode::SADD, {"sadd", &kRegReg, 0, 0}},
+    {Opcode::SSUB, {"ssub", &kRegReg, 0, 0}},
+    {Opcode::SMUL, {"smul", &kRegReg, 0, 0}},
+    {Opcode::SADDI, {"saddi", &kRegImm, 0, 0}},
+    {Opcode::SAND, {"sand", &kRegReg, 0, 0}},
+    {Opcode::SOR, {"sor", &kRegReg, 0, 0}},
+    {Opcode::SXOR, {"sxor", &kRegReg, 0, 0}},
+    {Opcode::SSLL, {"ssll", &kRegReg, 0, 0}},
+    {Opcode::SSRA, {"ssra", &kRegReg, 0, 0}},
+    {Opcode::JMP, {"jmp", &kJump, 0, 0}},
+    {Opcode::BEQ, {"beq", &kBranch, 0, 0}},
+    {Opcode::BNE, {"bne", &kBranch, 0, 0}},
+    {Opcode::BLT, {"blt", &kBranch, 0, 0}},
+    {Opcode::BGE, {"bge", &kBranch, 0, 0}},
+    {Opcode::NOP, {"nop", &kNone, 0, 0}},
+    {Opcode::HALT, {"halt", &kNone, 0, 0}},
 };
+
+/// kOps indexed by opcode value, so a lookup is one array access.
+constexpr std::array<OpInfo, 256> kByValue = [] {
+  std::array<OpInfo, 256> t{};
+  for (OpInfo& row : t) row.format = &kNone;
+  for (const OpDef& d : kOps) t[static_cast<uint8_t>(d.op)] = d.info;
+  return t;
+}();
+
+constexpr const char* kFieldNames[] = {"rd",  "rs1", "rs2", "imm",   "dst", "src1",
+                                       "src2", "len", "group", "tag", "core"};
+
+uint32_t width(uint8_t w, DType dtype) { return w != kDtype ? w : dtype_size(dtype); }
+
 }  // namespace
 
+const OpInfo& op_info(Opcode op) { return kByValue[static_cast<uint8_t>(op)]; }
+
 const char* opcode_name(Opcode op) {
-  for (const OpInfo& info : kOps) {
-    if (info.op == op) return info.name;
-  }
-  return "unknown";
+  const char* name = op_info(op).name;
+  return name != nullptr ? name : "unknown";
 }
 
 Opcode opcode_from_name(const std::string& name) {
   static const std::unordered_map<std::string, Opcode> map = [] {
     std::unordered_map<std::string, Opcode> m;
-    for (const OpInfo& info : kOps) m.emplace(info.name, info.op);
+    for (const OpDef& d : kOps) m.emplace(d.info.name, d.op);
     return m;
   }();
   auto it = map.find(to_lower(name));
@@ -51,188 +149,126 @@ Opcode opcode_from_name(const std::string& name) {
   return it->second;
 }
 
-uint64_t Instruction::bytes_in() const {
-  switch (cls()) {
-    case InstrClass::Matrix:
-      return len;  // int8 input vector
-    case InstrClass::Vector: {
-      // VQUANT reads i32, VDEQUANT reads i8; everything else reads `dtype`.
-      const uint64_t elem = op == Opcode::VQUANT ? 4
-                            : op == Opcode::VDEQUANT ? 1
-                                                     : dtype_size(dtype);
-      if (op == Opcode::VSET) return 0;
-      return (has_vector_src2(op) ? 2ull : 1ull) * len * elem;
-    }
-    case InstrClass::Transfer:
-      if (op == Opcode::SEND || op == Opcode::GSTORE) return uint64_t{len} * dtype_size(dtype);
-      return 0;
-    case InstrClass::Scalar:
-      return 0;
+bool uses_vector_imm(Opcode op) {
+  return instr_class(op) == InstrClass::Vector && op_info(op).format->carries(Field::Imm);
+}
+
+bool is_branch(Opcode op) { return op_info(op).format->branch; }
+
+const char* field_name(Field f) { return kFieldNames[static_cast<size_t>(f)]; }
+
+int64_t get_field(const Instruction& in, Field f) {
+  switch (f) {
+    case Field::Rd: return in.rd;
+    case Field::Rs1: return in.rs1;
+    case Field::Rs2: return in.rs2;
+    case Field::Imm: return in.imm;
+    case Field::Dst: return in.dst_addr;
+    case Field::Src1: return in.src1_addr;
+    case Field::Src2: return in.src2_addr;
+    case Field::Len: return in.len;
+    case Field::Group: return in.group;
+    case Field::Tag: return in.tag;
+    case Field::Core: return in.core;
   }
   return 0;
 }
 
-uint64_t Instruction::bytes_out() const {
-  switch (cls()) {
-    case InstrClass::Matrix:
-      // Output length is a property of the crossbar group, not the
-      // instruction; the matrix unit accounts for it from the group table.
-      return 0;
-    case InstrClass::Vector: {
-      // VQUANT writes i8, VDEQUANT writes i32; everything else writes `dtype`.
-      const uint64_t elem = op == Opcode::VQUANT ? 1
-                            : op == Opcode::VDEQUANT ? 4
-                                                     : dtype_size(dtype);
-      return uint64_t{len} * elem;
-    }
-    case InstrClass::Transfer:
-      if (op == Opcode::RECV || op == Opcode::GLOAD) return uint64_t{len} * dtype_size(dtype);
-      return 0;
-    case InstrClass::Scalar:
-      return 0;
+void set_field(Instruction& in, Field f, int64_t v) {
+  switch (f) {
+    case Field::Rd: in.rd = static_cast<uint8_t>(v); break;
+    case Field::Rs1: in.rs1 = static_cast<uint8_t>(v); break;
+    case Field::Rs2: in.rs2 = static_cast<uint8_t>(v); break;
+    case Field::Imm: in.imm = static_cast<int32_t>(v); break;
+    case Field::Dst: in.dst_addr = static_cast<uint32_t>(v); break;
+    case Field::Src1: in.src1_addr = static_cast<uint32_t>(v); break;
+    case Field::Src2: in.src2_addr = static_cast<uint32_t>(v); break;
+    case Field::Len: in.len = static_cast<uint32_t>(v); break;
+    case Field::Group: in.group = static_cast<uint16_t>(v); break;
+    case Field::Tag: in.tag = static_cast<uint16_t>(v); break;
+    case Field::Core: in.core = static_cast<uint16_t>(v); break;
   }
-  return 0;
 }
 
-// ---------------------------------------------------------------- encoding
+uint32_t src_width(const Instruction& in) { return width(op_info(in.op).src_width, in.dtype); }
+uint32_t dst_width(const Instruction& in) { return width(op_info(in.op).dst_width, in.dtype); }
 
-// word1 layouts by class:
-//   Matrix:   [31:0] src1_addr  [63:32] dst_addr        ; len in word0[55:40]
-//             is too small for len; instead:
-// We pack word1 = src1_addr(32) | dst_addr(32)?  dst/src/len/imm do not all
-// fit in 64 bits, so the format spreads fields across both words:
-//   word0: op(8) dtype(8) rd(8) rs1(8) rs2(8) group/tag(16) core(16) — wait
-// See comments in encode() for the authoritative layout.
-
-EncodedInstruction encode(const Instruction& in) {
-  EncodedInstruction out;
-  // word0: [7:0]=op [15:8]=dtype [23:16]=rd [31:24]=rs1 [39:32]=rs2
-  //        [47:40]= (unused) [63:48]=group
-  // tag/core share group's slot semantics per class:
-  //   matrix: group id; transfer: tag. core id is stored in word0[47:40]+
-  //   extension — cores up to 65535 need 16 bits, so core lives in
-  //   word1 only for transfers (see below).
-  out.word0 = static_cast<uint64_t>(in.op) | (static_cast<uint64_t>(in.dtype) << 8) |
-              (static_cast<uint64_t>(in.rd) << 16) | (static_cast<uint64_t>(in.rs1) << 24) |
-              (static_cast<uint64_t>(in.rs2) << 32) |
-              (static_cast<uint64_t>(in.cls() == InstrClass::Transfer ? in.tag : in.group) << 48);
-  switch (in.cls()) {
-    case InstrClass::Matrix:
-      // word1: [23:0]=src1 [47:24]=dst [63:48]=len (<= 65535 elements)
-      out.word1 = (static_cast<uint64_t>(in.src1_addr & 0xFFFFFF)) |
-                  (static_cast<uint64_t>(in.dst_addr & 0xFFFFFF) << 24) |
-                  (static_cast<uint64_t>(in.len & 0xFFFF) << 48);
-      break;
-    case InstrClass::Vector:
-      // word1: [19:0]=src1 [39:20]=src2 [59:40]=dst — 1MB local address
-      // space; len goes to word0[47:40]? no: len up to 64K needs 16 bits.
-      // Use: word1 [19:0]src1 [39:20]src2 [55:40]len(16) and dst in word0?
-      // dst needs 20 bits. Final layout: src1(20) src2(20) len(16) leaves 8
-      // bits; dst is split: low 16 bits in word1[... no.
-      //
-      // Simpler and still honest: vector instructions carry imm OR src2, not
-      // both — VADDI/VMULI/VSHR/VSET use imm and no src2. So:
-      //   reg-form:  word1 = src1(20) | src2(20)<<20 | dst(20)<<40 ; len in
-      //              word0[47:40] * 8?? len up to 64K...
-      //
-      // We accept a 24-bit packed len limit by storing len in word0 bits
-      // [47:40] plus word1 top 4 bits. To keep decode trivial we instead
-      // limit vector len to 4096 (12 bits), ample for one instruction
-      // (compiler splits longer vectors):
-      //   word1: src1(20) | src2_or_imm(20)<<20 | dst(20)<<40 | len(12)<<60?
-      // 20+20+20+12 = 72 > 64. Therefore len(12) replaces rs2/rd space in
-      // word0 bits [47:36]. rs2 overlaps — vector ops don't use rs2.
-      out.word0 = (out.word0 & ~(uint64_t{0xFFF} << 36)) |
-                  (static_cast<uint64_t>(in.len & 0xFFF) << 36);
-      out.word1 = (static_cast<uint64_t>(in.src1_addr & 0xFFFFF)) |
-                  (static_cast<uint64_t>(uses_vector_imm(in.op)
-                                             ? (static_cast<uint32_t>(in.imm) & 0xFFFFF)
-                                             : (in.src2_addr & 0xFFFFF))
-                   << 20) |
-                  (static_cast<uint64_t>(in.dst_addr & 0xFFFFF) << 40);
-      break;
-    case InstrClass::Transfer:
-      // word1: [19:0]=local addr (src for SEND/GSTORE, dst for RECV/GLOAD)
-      //        [35:20]=len(16) [51:36]=core(16) [63:52]=reserved
-      // imm (global byte address for GLOAD/GSTORE) uses word0 bits [47:40]
-      // ... insufficient; instead GLOAD/GSTORE reuse the core field slot and
-      // store the 32-bit global address in word1[63:32], with len moved to
-      // word0[47:40] being too small. Layout per op:
-      //   SEND/RECV:  word1 = addr(20) | len(16)<<20 | core(16)<<36
-      //   GLOAD/GSTORE: word1 = addr(20) | imm32<<32 ; len(12)->word0[47:36]
-      if (in.op == Opcode::SEND || in.op == Opcode::RECV) {
-        const uint32_t addr = (in.op == Opcode::SEND) ? in.src1_addr : in.dst_addr;
-        out.word1 = static_cast<uint64_t>(addr & 0xFFFFF) |
-                    (static_cast<uint64_t>(in.len & 0xFFFF) << 20) |
-                    (static_cast<uint64_t>(in.core) << 36);
-      } else {
-        const uint32_t addr = (in.op == Opcode::GSTORE) ? in.src1_addr : in.dst_addr;
-        out.word0 = (out.word0 & ~(uint64_t{0xFFF} << 36)) |
-                    (static_cast<uint64_t>(in.len & 0xFFF) << 36);
-        out.word1 = static_cast<uint64_t>(addr & 0xFFFFF) |
-                    (static_cast<uint64_t>(static_cast<uint32_t>(in.imm)) << 32);
-      }
-      break;
-    case InstrClass::Scalar:
-      // word1: [31:0]=imm (sign-extended on decode)
-      out.word1 = static_cast<uint32_t>(in.imm);
-      break;
+LocalRanges local_ranges(const Instruction& in, uint32_t mvm_out_len) {
+  const OpInfo& info = op_info(in.op);
+  LocalRanges out;
+  for (const Access& a : info.format->accesses()) {
+    const uint64_t elems = a.write && in.op == Opcode::MVM ? mvm_out_len : in.len;
+    const uint32_t w = width(a.write ? info.dst_width : info.src_width, in.dtype);
+    out.at[out.count++] = LocalRange{static_cast<uint32_t>(get_field(in, a.addr)), elems * w,
+                                     a.write, a.name};
   }
   return out;
 }
 
-bool uses_vector_imm(Opcode op) {
-  return op == Opcode::VADDI || op == Opcode::VMULI || op == Opcode::VSHR ||
-         op == Opcode::VDIVI || op == Opcode::VSET || op == Opcode::VQUANT;
+uint64_t Instruction::bytes_in() const {
+  uint64_t bytes = 0;
+  for (const LocalRange& r : local_ranges(*this)) {
+    if (!r.write) bytes += r.bytes;
+  }
+  return bytes;
+}
+
+uint64_t Instruction::bytes_out() const {
+  // An MVM's output length belongs to its crossbar group; the matrix unit
+  // accounts for it from the group table, so it counts 0 here.
+  uint64_t bytes = 0;
+  for (const LocalRange& r : local_ranges(*this)) {
+    if (r.write) bytes += r.bytes;
+  }
+  return bytes;
+}
+
+uint32_t regs_read(const Instruction& in) {
+  const Format& f = *op_info(in.op).format;
+  auto bit = [](uint8_t r) { return r == 0 ? 0u : 1u << r; };
+  return (f.carries(Field::Rs1) ? bit(in.rs1) : 0u) | (f.carries(Field::Rs2) ? bit(in.rs2) : 0u);
+}
+
+uint32_t regs_written(const Instruction& in) {
+  return op_info(in.op).format->carries(Field::Rd) && in.rd != 0 ? 1u << in.rd : 0u;
+}
+
+// ---------------------------------------------------------------- encoding
+
+namespace {
+uint64_t slot_mask(const Operand& o) {
+  return o.bits == 64 ? ~uint64_t{0} : (uint64_t{1} << o.bits) - 1;
+}
+}  // namespace
+
+EncodedInstruction encode(const Instruction& in) {
+  uint64_t words[2] = {static_cast<uint64_t>(in.op) | (static_cast<uint64_t>(in.dtype) << 8), 0};
+  for (const Operand& o : op_info(in.op).format->operands()) {
+    const int64_t v = get_field(in, o.field);
+    const bool fits = o.field == Field::Imm
+                          ? v >= -(int64_t{1} << (o.bits - 1)) && v < (int64_t{1} << (o.bits - 1))
+                          : static_cast<uint64_t>(v) <= slot_mask(o);
+    if (!fits) {
+      throw std::out_of_range(strformat("encode %s: %s %lld does not fit its %u-bit field",
+                                        opcode_name(in.op), field_name(o.field),
+                                        static_cast<long long>(v), o.bits));
+    }
+    words[o.word] |= (static_cast<uint64_t>(v) & slot_mask(o)) << o.lsb;
+  }
+  return EncodedInstruction{words[0], words[1]};
 }
 
 Instruction decode(const EncodedInstruction& enc) {
+  const uint64_t words[2] = {enc.word0, enc.word1};
   Instruction in;
   in.op = static_cast<Opcode>(enc.word0 & 0xFF);
   in.dtype = static_cast<DType>((enc.word0 >> 8) & 0xFF);
-  in.rd = static_cast<uint8_t>((enc.word0 >> 16) & 0xFF);
-  in.rs1 = static_cast<uint8_t>((enc.word0 >> 24) & 0xFF);
-  switch (in.cls()) {
-    case InstrClass::Matrix:
-      in.rs2 = static_cast<uint8_t>((enc.word0 >> 32) & 0xFF);
-      in.group = static_cast<uint16_t>((enc.word0 >> 48) & 0xFFFF);
-      in.src1_addr = static_cast<uint32_t>(enc.word1 & 0xFFFFFF);
-      in.dst_addr = static_cast<uint32_t>((enc.word1 >> 24) & 0xFFFFFF);
-      in.len = static_cast<uint32_t>((enc.word1 >> 48) & 0xFFFF);
-      break;
-    case InstrClass::Vector:
-      in.group = static_cast<uint16_t>((enc.word0 >> 48) & 0xFFFF);
-      in.len = static_cast<uint32_t>((enc.word0 >> 36) & 0xFFF);
-      in.src1_addr = static_cast<uint32_t>(enc.word1 & 0xFFFFF);
-      if (uses_vector_imm(in.op)) {
-        uint32_t raw = static_cast<uint32_t>((enc.word1 >> 20) & 0xFFFFF);
-        // sign-extend 20-bit immediate
-        if (raw & 0x80000) raw |= 0xFFF00000;
-        in.imm = static_cast<int32_t>(raw);
-      } else {
-        in.src2_addr = static_cast<uint32_t>((enc.word1 >> 20) & 0xFFFFF);
-      }
-      in.dst_addr = static_cast<uint32_t>((enc.word1 >> 40) & 0xFFFFF);
-      break;
-    case InstrClass::Transfer:
-      in.tag = static_cast<uint16_t>((enc.word0 >> 48) & 0xFFFF);
-      if (in.op == Opcode::SEND || in.op == Opcode::RECV) {
-        in.rs2 = static_cast<uint8_t>((enc.word0 >> 32) & 0xFF);
-        const uint32_t addr = static_cast<uint32_t>(enc.word1 & 0xFFFFF);
-        if (in.op == Opcode::SEND) in.src1_addr = addr; else in.dst_addr = addr;
-        in.len = static_cast<uint32_t>((enc.word1 >> 20) & 0xFFFF);
-        in.core = static_cast<uint16_t>((enc.word1 >> 36) & 0xFFFF);
-      } else {
-        in.len = static_cast<uint32_t>((enc.word0 >> 36) & 0xFFF);
-        const uint32_t addr = static_cast<uint32_t>(enc.word1 & 0xFFFFF);
-        if (in.op == Opcode::GSTORE) in.src1_addr = addr; else in.dst_addr = addr;
-        in.imm = static_cast<int32_t>(enc.word1 >> 32);
-      }
-      break;
-    case InstrClass::Scalar:
-      in.rs2 = static_cast<uint8_t>((enc.word0 >> 32) & 0xFF);
-      in.imm = static_cast<int32_t>(static_cast<uint32_t>(enc.word1 & 0xFFFFFFFF));
-      break;
+  for (const Operand& o : op_info(in.op).format->operands()) {
+    uint64_t raw = (words[o.word] >> o.lsb) & slot_mask(o);
+    if (o.field == Field::Imm && o.bits < 64 && ((raw >> (o.bits - 1)) & 1)) {
+      raw |= ~slot_mask(o);  // sign-extend
+    }
+    set_field(in, o.field, static_cast<int64_t>(raw));
   }
   return in;
 }
@@ -240,52 +276,28 @@ Instruction decode(const EncodedInstruction& enc) {
 // ------------------------------------------------------------ disassembly
 
 std::string to_string(const Instruction& in) {
-  const char* dt = in.dtype == DType::I8 ? "i8" : "i32";
-  switch (in.cls()) {
-    case InstrClass::Matrix:
-      return strformat("mvm g%u, 0x%x, 0x%x, len=%u", in.group, in.dst_addr, in.src1_addr,
-                       in.len);
-    case InstrClass::Vector:
-      if (in.op == Opcode::VSET) {
-        return strformat("vset 0x%x, imm=%d, len=%u, %s", in.dst_addr, in.imm, in.len, dt);
-      }
-      if (uses_vector_imm(in.op)) {
-        return strformat("%s 0x%x, 0x%x, imm=%d, len=%u, %s", opcode_name(in.op), in.dst_addr,
-                         in.src1_addr, in.imm, in.len, dt);
-      }
-      return strformat("%s 0x%x, 0x%x, 0x%x, len=%u, %s", opcode_name(in.op), in.dst_addr,
-                       in.src1_addr, in.src2_addr, in.len, dt);
-    case InstrClass::Transfer:
-      switch (in.op) {
-        case Opcode::SEND:
-          return strformat("send core=%u, tag=%u, 0x%x, len=%u, %s", in.core, in.tag,
-                           in.src1_addr, in.len, dt);
-        case Opcode::RECV:
-          return strformat("recv core=%u, tag=%u, 0x%x, len=%u, %s", in.core, in.tag,
-                           in.dst_addr, in.len, dt);
-        case Opcode::GLOAD:
-          return strformat("gload 0x%x, g:0x%x, len=%u, %s", in.dst_addr,
-                           static_cast<uint32_t>(in.imm), in.len, dt);
-        case Opcode::GSTORE:
-          return strformat("gstore g:0x%x, 0x%x, len=%u, %s", static_cast<uint32_t>(in.imm),
-                           in.src1_addr, in.len, dt);
-        default: break;
-      }
-      return "transfer?";
-    case InstrClass::Scalar:
-      switch (in.op) {
-        case Opcode::LDI: return strformat("ldi r%u, %d", in.rd, in.imm);
-        case Opcode::SADDI: return strformat("saddi r%u, r%u, %d", in.rd, in.rs1, in.imm);
-        case Opcode::JMP: return strformat("jmp %d", in.imm);
-        case Opcode::BEQ: case Opcode::BNE: case Opcode::BLT: case Opcode::BGE:
-          return strformat("%s r%u, r%u, %d", opcode_name(in.op), in.rs1, in.rs2, in.imm);
-        case Opcode::NOP: return "nop";
-        case Opcode::HALT: return "halt";
-        default:
-          return strformat("%s r%u, r%u, r%u", opcode_name(in.op), in.rd, in.rs1, in.rs2);
-      }
+  const Format& f = *op_info(in.op).format;
+  std::string out = opcode_name(in.op);
+  const char* sep = " ";
+  for (const Operand& o : f.operands()) {
+    const int64_t v = get_field(in, o.field);
+    const auto u = static_cast<uint32_t>(v);
+    out += sep;
+    sep = ", ";
+    switch (o.syntax) {
+      case Syntax::Addr: out += strformat("0x%x", u); break;
+      case Syntax::Group: out += strformat("g%u", u); break;
+      case Syntax::Reg: out += strformat("r%u", u); break;
+      case Syntax::Int:
+      case Syntax::Target: out += strformat("%lld", static_cast<long long>(v)); break;
+      case Syntax::Global: out += strformat("g:0x%x", u); break;
+      case Syntax::Named:
+        out += strformat("%s=%lld", field_name(o.field), static_cast<long long>(v));
+        break;
+    }
   }
-  return "?";
+  if (f.dtype) out += in.dtype == DType::I8 ? ", i8" : ", i32";
+  return out;
 }
 
 }  // namespace pim::isa

@@ -23,9 +23,11 @@
 // rounded arithmetic shift.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace pim::isa {
 
@@ -51,7 +53,7 @@ enum class Opcode : uint8_t {
   VSIGMOID,   ///< dst[i] = lut_sigmoid(src1[i])         (i32, Q16 fixed point)
   VTANH,      ///< dst[i] = lut_tanh(src1[i])            (i32, Q16 fixed point)
   VMOV,       ///< dst[i] = src1[i]                      (dtype from `dtype`)
-  VSET,       ///< dst[i] = imm                          (i32)
+  VSET,       ///< dst[i] = imm                          (dtype from `dtype`)
   VQUANT,     ///< dst[i:i8] = sat8(round_shift(src1[i:i32], imm))
   VDEQUANT,   ///< dst[i:i32] = widen(src1[i:i8])
 
@@ -102,21 +104,11 @@ const char* opcode_name(Opcode op);
 Opcode opcode_from_name(const std::string& name);
 
 /// True for vector opcodes whose second operand is an immediate rather than
-/// a second local-memory address (vaddi/vmuli/vshr/vset/vquant).
+/// a second local-memory address (vaddi/vmuli/vshr/vdivi/vset/vquant).
 bool uses_vector_imm(Opcode op);
 
-/// True for vector opcodes that read a second local-memory vector at
-/// src2_addr (vadd/vsub/vmul/vmax/vmin); the two sources have equal size.
-inline bool has_vector_src2(Opcode op) {
-  return op == Opcode::VADD || op == Opcode::VSUB || op == Opcode::VMUL ||
-         op == Opcode::VMAX || op == Opcode::VMIN;
-}
-
 /// True for control-flow opcodes: jmp and the conditional branches.
-inline bool is_branch(Opcode op) {
-  return op == Opcode::JMP || op == Opcode::BEQ || op == Opcode::BNE || op == Opcode::BLT ||
-         op == Opcode::BGE;
-}
+bool is_branch(Opcode op);
 
 /// A decoded instruction. The same struct is produced by the compiler, by
 /// the binary decoder, and by the assembler; the simulator executes it
@@ -154,23 +146,152 @@ struct Instruction {
 
   InstrClass cls() const { return instr_class(op); }
 
-  /// Bytes read from / written to local memory: the core model's port
-  /// occupancy, energy and hazard ranges. A two-source vector op reads two
-  /// equal halves of bytes_in(); an MVM's bytes_out() is 0 because its
-  /// output length belongs to the crossbar group.
+  /// Bytes read from / written to local memory, the sums of local_ranges():
+  /// the core model's port occupancy and energy. A two-source vector op
+  /// reads two equal halves of bytes_in(); an MVM's bytes_out() is 0
+  /// because its output length belongs to the crossbar group.
   uint64_t bytes_in() const;
   uint64_t bytes_out() const;
 
   bool operator==(const Instruction&) const = default;
 };
 
+// -- operand table ------------------------------------------------------------
+//
+// isa.cpp holds one row per opcode: its mnemonic, its operand format and its
+// source and destination element widths. The encoding, the assembly text,
+// verify's local-memory ranges and the core's hazard sets are all read from
+// that row.
+
+/// The operand fields of an Instruction (dtype and layer_id aside).
+enum class Field : uint8_t { Rd, Rs1, Rs2, Imm, Dst, Src1, Src2, Len, Group, Tag, Core };
+constexpr size_t kFieldCount = static_cast<size_t>(Field::Core) + 1;
+
+/// Program-JSON key and assembly name of a field: "rd", "dst", "len", ...
+const char* field_name(Field f);
+/// A field's value; imm is signed, every other field unsigned.
+int64_t get_field(const Instruction& in, Field f);
+/// Store `v` into a field, truncated to the field's C++ type.
+void set_field(Instruction& in, Field f, int64_t v);
+
+/// How the assembly text writes a field.
+enum class Syntax : uint8_t {
+  Addr,    ///< local-memory address, "0x1f0"
+  Group,   ///< crossbar group, "g3"
+  Reg,     ///< scalar register, "r5"
+  Int,     ///< signed value, "-12"
+  Target,  ///< branch target, "42" (assembly input may name a label)
+  Global,  ///< global-memory address, "g:0x100"
+  Named,   ///< "<field>=<value>", e.g. "len=64", "imm=-3"
+};
+
+/// One field an opcode carries: its slot in the binary encoding and how the
+/// text writes it.
+struct Operand {
+  Field field = Field::Len;
+  uint8_t word = 0;  ///< EncodedInstruction word: 0 or 1
+  uint8_t lsb = 0;
+  uint8_t bits = 0;  ///< slot width; imm is sign-extended from it
+  Syntax syntax = Syntax::Addr;
+};
+
+/// A local-memory range an opcode reads or writes. Its size is `len`
+/// elements of the opcode's source or destination width, except an MVM's
+/// output, which is its group's out_len int32 sums.
+struct Access {
+  Field addr = Field::Dst;
+  bool write = false;
+  const char* name = "";  ///< operand name in verify's messages
+};
+
+/// An operand format: the fields an opcode carries, in assembly-text order,
+/// the local memory they name, in the order verify reports it, and whether
+/// the text ends with the element type.
+struct Format {
+  constexpr Format(std::initializer_list<Operand> ops, std::initializer_list<Access> acc,
+                   bool with_dtype)
+      : dtype(with_dtype) {
+    for (const Operand& o : ops) {
+      operands_[operand_count_++] = o;
+      carried |= 1u << static_cast<unsigned>(o.field);
+      if (o.syntax == Syntax::Target) branch = true;
+    }
+    for (const Access& a : acc) accesses_[access_count_++] = a;
+  }
+  std::span<const Operand> operands() const { return {operands_.data(), operand_count_}; }
+  std::span<const Access> accesses() const { return {accesses_.data(), access_count_}; }
+  bool carries(Field f) const { return (carried >> static_cast<unsigned>(f)) & 1u; }
+
+  bool dtype = false;   ///< text ends with ", i8" or ", i32"
+  bool branch = false;  ///< carries a branch target
+  uint16_t carried = 0;  ///< bit per Field
+
+ private:
+  std::array<Operand, 4> operands_{};
+  std::array<Access, 3> accesses_{};
+  size_t operand_count_ = 0;
+  size_t access_count_ = 0;
+};
+
+/// The table row of an opcode. An opcode value no opcode has gets a row with
+/// a null name and an empty format.
+struct OpInfo {
+  const char* name = nullptr;
+  const Format* format = nullptr;
+  uint8_t src_width = 0;  ///< source element bytes: 1, 4, or 0 for dtype_size(dtype)
+  uint8_t dst_width = 0;  ///< destination element bytes, likewise
+};
+const OpInfo& op_info(Opcode op);
+
+/// Element bytes of an instruction's sources and of its destination.
+uint32_t src_width(const Instruction& in);
+uint32_t dst_width(const Instruction& in);
+
+/// A local-memory byte range an instruction reads or writes.
+struct LocalRange {
+  uint32_t addr = 0;
+  uint64_t bytes = 0;
+  bool write = false;
+  const char* name = "";  ///< operand name in verify's messages
+  bool overlaps(const LocalRange& o) const {
+    return bytes != 0 && o.bytes != 0 && addr < o.addr + o.bytes && o.addr < addr + bytes;
+  }
+};
+
+/// The local-memory ranges of one instruction, in the order verify reports
+/// them: mvm input, output; vector dst, src1, src2; the transfer's local side.
+struct LocalRanges {
+  std::array<LocalRange, 3> at{};
+  size_t count = 0;
+  const LocalRange* begin() const { return at.data(); }
+  const LocalRange* end() const { return at.data() + count; }
+};
+/// `mvm_out_len` sizes an MVM's output (its group's out_len); other opcodes
+/// ignore it.
+LocalRanges local_ranges(const Instruction& in, uint32_t mvm_out_len = 0);
+
+/// Bit masks of the scalar registers an instruction reads and writes. r0
+/// reads as zero and ignores writes, so it is in neither mask.
+uint32_t regs_read(const Instruction& in);
+uint32_t regs_written(const Instruction& in);
+
 // -- binary encoding ---------------------------------------------------------
 //
-// Fixed-width 128-bit format (two little-endian 64-bit words):
+// Fixed-width 128-bit format (two little-endian 64-bit words). word0 holds
+// the opcode at [7:0] and the dtype at [15:8]; the rest holds the fields the
+// opcode's format carries, in these slots (bits no field uses are zero):
 //
-//   word0: [ 7:0] opcode   [15:8] dtype   [23:16] rd   [31:24] rs1
-//          [39:32] rs2     [55:40] group  [63:56] reserved
-//   word1 packing depends on class; see encoding.cpp.
+//   format        word0                            word1
+//   mvm           group [63:48]                    src1 [23:0]  dst [47:24]  len [63:48]
+//   vector        len [47:36]                      src1 [19:0]  src2|imm [39:20]  dst [59:40]
+//   send, recv    tag [63:48]                      src1|dst [19:0]  len [35:20]  core [51:36]
+//   gload, gstore len [47:36]                      dst|src1 [19:0]  imm [63:32]
+//   scalar        rd [23:16]  rs1 [31:24]  rs2 [39:32]   imm [31:0]
+//
+// So local addresses are 24 bits in an MVM and 20 bits (1 MB) elsewhere, and
+// a vector immediate is a signed 20-bit value. encode() throws
+// std::out_of_range, naming the opcode and the field, for a value its slot
+// cannot hold.
 
 struct EncodedInstruction {
   uint64_t word0 = 0;

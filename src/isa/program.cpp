@@ -7,53 +7,6 @@
 
 namespace pim::isa {
 
-namespace {
-
-/// A local-memory byte range an instruction may read or write.
-struct LmRange {
-  uint32_t addr = 0;
-  uint64_t bytes = 0;
-  const char* what = "";  ///< operand name in verify's messages
-};
-
-/// The local-memory ranges `in` may touch, in the order verify() checks
-/// them, written to `out`; returns how many. `group` is the MVM's group and
-/// must be non-null for a matrix instruction.
-size_t lm_ranges(const Instruction& in, const GroupDef* group, LmRange (&out)[3]) {
-  size_t n = 0;
-  auto add = [&](uint32_t addr, uint64_t bytes, const char* what) {
-    out[n++] = LmRange{addr, bytes, what};
-  };
-  switch (in.cls()) {
-    case InstrClass::Matrix:
-      add(in.src1_addr, in.len, "mvm input");
-      add(in.dst_addr, 4ull * group->out_len, "mvm output");
-      break;
-    case InstrClass::Vector: {
-      add(in.dst_addr, in.bytes_out(), "vector dst");
-      const uint64_t src_elem = (in.op == Opcode::VDEQUANT) ? 1 : 4;
-      if (in.op != Opcode::VSET) add(in.src1_addr, in.len * src_elem, "vector src1");
-      if (has_vector_src2(in.op)) add(in.src2_addr, in.len * 4ull, "vector src2");
-      break;
-    }
-    case InstrClass::Transfer: {
-      const uint64_t bytes = uint64_t{in.len} * dtype_size(in.dtype);
-      switch (in.op) {
-        case Opcode::SEND: add(in.src1_addr, bytes, "send src"); break;
-        case Opcode::RECV: add(in.dst_addr, bytes, "recv dst"); break;
-        case Opcode::GSTORE: add(in.src1_addr, bytes, "global transfer local side"); break;
-        default: add(in.dst_addr, bytes, "global transfer local side"); break;
-      }
-      break;
-    }
-    case InstrClass::Scalar:
-      break;
-  }
-  return n;
-}
-
-}  // namespace
-
 std::vector<const GroupDef*> CoreProgram::group_table() const {
   uint16_t max_id = 0;
   for (const GroupDef& g : groups) max_id = std::max(max_id, g.id);
@@ -76,15 +29,15 @@ uint64_t CoreProgram::lm_high_water() const {
     mark = std::max(mark, seg.addr + uint64_t{seg.bytes.size()});
   }
   const std::vector<const GroupDef*> table = group_table();
-  LmRange ranges[3];
   for (const Instruction& in : code) {
     const GroupDef* g = nullptr;
     if (in.cls() == InstrClass::Matrix) {
       g = in.group < table.size() ? table[in.group] : nullptr;
       if (g == nullptr) continue;  // verify rejects it; nothing to size
     }
-    const size_t n = lm_ranges(in, g, ranges);
-    for (size_t i = 0; i < n; ++i) mark = std::max(mark, ranges[i].addr + ranges[i].bytes);
+    for (const LocalRange& r : local_ranges(in, g != nullptr ? g->out_len : 0)) {
+      mark = std::max(mark, r.addr + r.bytes);
+    }
   }
   return mark;
 }
@@ -210,7 +163,6 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
       }
     }
 
-    LmRange ranges[3];
     for (size_t pc = 0; pc < cp.code.size(); ++pc) {
       const Instruction& in = cp.code[pc];
       // Class checks first, then the local-memory ranges, then (global
@@ -272,12 +224,10 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
           break;
         }
       }
-      const size_t n = lm_ranges(in, g, ranges);
-      for (size_t i = 0; i < n; ++i) {
-        const LmRange& r = ranges[i];
+      for (const LocalRange& r : local_ranges(in, g != nullptr ? g->out_len : 0)) {
         if (r.addr + r.bytes > lm_size) {
           err(loc(pc) + strformat("%s range [0x%x, +%llu) exceeds local memory (%llu bytes)",
-                                  r.what, r.addr, static_cast<unsigned long long>(r.bytes),
+                                  r.name, r.addr, static_cast<unsigned long long>(r.bytes),
                                   static_cast<unsigned long long>(lm_size)));
         }
       }
@@ -329,17 +279,10 @@ json::Value instr_to_json(const Instruction& in) {
   json::Value v;
   v["op"] = json::Value(opcode_name(in.op));
   if (in.dtype != DType::I8) v["dtype"] = json::Value("i32");
-  if (in.rd) v["rd"] = json::Value(in.rd);
-  if (in.rs1) v["rs1"] = json::Value(in.rs1);
-  if (in.rs2) v["rs2"] = json::Value(in.rs2);
-  if (in.imm) v["imm"] = json::Value(in.imm);
-  if (in.dst_addr) v["dst"] = json::Value(in.dst_addr);
-  if (in.src1_addr) v["src1"] = json::Value(in.src1_addr);
-  if (in.src2_addr) v["src2"] = json::Value(in.src2_addr);
-  if (in.len) v["len"] = json::Value(in.len);
-  if (in.group) v["group"] = json::Value(in.group);
-  if (in.tag) v["tag"] = json::Value(in.tag);
-  if (in.core) v["core"] = json::Value(in.core);
+  for (size_t f = 0; f < kFieldCount; ++f) {
+    const int64_t x = get_field(in, static_cast<Field>(f));
+    if (x != 0) v[field_name(static_cast<Field>(f))] = json::Value(x);
+  }
   if (in.layer_id >= 0) v["layer"] = json::Value(in.layer_id);
   return v;
 }
@@ -348,17 +291,9 @@ Instruction instr_from_json(const json::Value& v) {
   Instruction in;
   in.op = opcode_from_name(v.at("op").as_string());
   in.dtype = v.get_or("dtype", std::string("i8")) == "i32" ? DType::I32 : DType::I8;
-  in.rd = static_cast<uint8_t>(v.get_or("rd", 0));
-  in.rs1 = static_cast<uint8_t>(v.get_or("rs1", 0));
-  in.rs2 = static_cast<uint8_t>(v.get_or("rs2", 0));
-  in.imm = static_cast<int32_t>(v.get_or("imm", 0));
-  in.dst_addr = static_cast<uint32_t>(v.get_or("dst", 0));
-  in.src1_addr = static_cast<uint32_t>(v.get_or("src1", 0));
-  in.src2_addr = static_cast<uint32_t>(v.get_or("src2", 0));
-  in.len = static_cast<uint32_t>(v.get_or("len", 0));
-  in.group = static_cast<uint16_t>(v.get_or("group", 0));
-  in.tag = static_cast<uint16_t>(v.get_or("tag", 0));
-  in.core = static_cast<uint16_t>(v.get_or("core", 0));
+  for (size_t f = 0; f < kFieldCount; ++f) {
+    set_field(in, static_cast<Field>(f), v.get_or(field_name(static_cast<Field>(f)), 0));
+  }
   in.layer_id = static_cast<int32_t>(v.get_or("layer", -1));
   return in;
 }

@@ -64,11 +64,10 @@ struct CoreProgram {
   /// Total crossbars used by all groups on this core.
   uint32_t xbars_used() const;
   /// One past the highest local-memory byte this core's data segments and
-  /// instructions may touch, by the same ranges verify() checks. Every
-  /// local-memory operand is an immediate, so this static mark bounds every
-  /// access; a verified program's mark never exceeds the configured local
-  /// memory. Ranges are conservative where the element size depends on the
-  /// op (vector sources count 4 bytes per element except VDEQUANT's).
+  /// instructions may touch, by the same ranges verify() checks and the
+  /// core accesses (isa::local_ranges). Every local-memory operand is an
+  /// immediate, so this static mark bounds every access; a verified
+  /// program's mark never exceeds the configured local memory.
   uint64_t lm_high_water() const;
 
   bool operator==(const CoreProgram&) const = default;

@@ -698,10 +698,9 @@ TEST(ChipSizing, FunctionalChipModelsOnlyCoresWithCodeAtTheirHighWater) {
   const Program p = two_core_program(cfg.core_count);
   telemetry::TraceSink trace;
   Chip chip(cfg, p, &trace);
-  // Core 0 touches [0x100, +8); core 5's vadd checks its sources at 4 bytes
-  // per element, so [0x2000, +32).
+  // Core 0 touches [0x100, +8); core 5's i8 recv and vadd touch [0x2000, +8).
   EXPECT_EQ(p.cores[0].lm_high_water(), 0x108u);
-  EXPECT_EQ(p.cores[5].lm_high_water(), 0x2020u);
+  EXPECT_EQ(p.cores[5].lm_high_water(), 0x2008u);
   EXPECT_EQ(chip.core(0).lm().size(), p.cores[0].lm_high_water());
   EXPECT_EQ(chip.core(5).lm().size(), p.cores[5].lm_high_water());
   for (uint16_t id = 0; id < cfg.core_count; ++id) {

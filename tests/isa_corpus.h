@@ -2,9 +2,9 @@
 // every field it carries at its largest encodable value, and the random
 // instructions of the encoder fuzz.
 //
-// Both corpora fill exactly the fields each opcode carries through its
-// binary encoding and its assembly text, so every instruction in them must
-// round-trip through encode/decode and to_string/assemble unchanged.
+// Both corpora fill exactly the fields each opcode's format carries (the
+// ISA's operand table), so every instruction in them must round-trip
+// through encode/decode and to_string/assemble unchanged.
 #pragma once
 
 #include <cstdint>
@@ -15,98 +15,36 @@
 
 namespace pim::isa::corpus {
 
-/// The operand fields of an instruction.
-enum class Field { Rd, Rs1, Rs2, Imm, Dst, Src1, Src2, Len, Group, Tag, Core };
-
-struct FieldBits {
-  Field field;
-  unsigned bits;  ///< encoded width; an immediate is signed
-};
-
-/// What an opcode carries: its fields in assembly-text order, and whether
-/// it names an element type.
-struct OpFields {
-  Opcode op;
-  bool dtype;
-  std::vector<FieldBits> fields;
-};
-
-inline const std::vector<OpFields>& op_fields() {
-  using F = Field;
-  const std::vector<FieldBits> mvm = {{F::Group, 16}, {F::Dst, 24}, {F::Src1, 24}, {F::Len, 16}};
-  const std::vector<FieldBits> vec = {{F::Dst, 20}, {F::Src1, 20}, {F::Src2, 20}, {F::Len, 12}};
-  const std::vector<FieldBits> vec_imm = {{F::Dst, 20}, {F::Src1, 20}, {F::Imm, 20}, {F::Len, 12}};
-  const std::vector<FieldBits> vset = {{F::Dst, 20}, {F::Imm, 20}, {F::Len, 12}};
-  const std::vector<FieldBits> send = {{F::Core, 16}, {F::Tag, 16}, {F::Src1, 20}, {F::Len, 16}};
-  const std::vector<FieldBits> recv = {{F::Core, 16}, {F::Tag, 16}, {F::Dst, 20}, {F::Len, 16}};
-  const std::vector<FieldBits> gload = {{F::Dst, 20}, {F::Imm, 32}, {F::Len, 12}};
-  const std::vector<FieldBits> gstore = {{F::Imm, 32}, {F::Src1, 20}, {F::Len, 12}};
-  const std::vector<FieldBits> ldi = {{F::Rd, 8}, {F::Imm, 32}};
-  const std::vector<FieldBits> reg_imm = {{F::Rd, 8}, {F::Rs1, 8}, {F::Imm, 32}};
-  const std::vector<FieldBits> jump = {{F::Imm, 32}};
-  const std::vector<FieldBits> branch = {{F::Rs1, 8}, {F::Rs2, 8}, {F::Imm, 32}};
-  const std::vector<FieldBits> reg_reg = {{F::Rd, 8}, {F::Rs1, 8}, {F::Rs2, 8}};
-  static const std::vector<OpFields> table = {
-      {Opcode::MVM, false, mvm},
-      {Opcode::VADD, true, vec},        {Opcode::VSUB, true, vec},
-      {Opcode::VMUL, true, vec},        {Opcode::VMAX, true, vec},
-      {Opcode::VMIN, true, vec},        {Opcode::VADDI, true, vec_imm},
-      {Opcode::VMULI, true, vec_imm},   {Opcode::VSHR, true, vec_imm},
-      {Opcode::VDIVI, true, vec_imm},   {Opcode::VRELU, true, vec},
-      {Opcode::VSIGMOID, true, vec},    {Opcode::VTANH, true, vec},
-      {Opcode::VMOV, true, vec},        {Opcode::VSET, true, vset},
-      {Opcode::VQUANT, true, vec_imm},  {Opcode::VDEQUANT, true, vec},
-      {Opcode::SEND, true, send},       {Opcode::RECV, true, recv},
-      {Opcode::GLOAD, true, gload},     {Opcode::GSTORE, true, gstore},
-      {Opcode::LDI, false, ldi},        {Opcode::SADD, false, reg_reg},
-      {Opcode::SSUB, false, reg_reg},   {Opcode::SMUL, false, reg_reg},
-      {Opcode::SADDI, false, reg_imm},  {Opcode::SAND, false, reg_reg},
-      {Opcode::SOR, false, reg_reg},    {Opcode::SXOR, false, reg_reg},
-      {Opcode::SSLL, false, reg_reg},   {Opcode::SSRA, false, reg_reg},
-      {Opcode::JMP, false, jump},       {Opcode::BEQ, false, branch},
-      {Opcode::BNE, false, branch},     {Opcode::BLT, false, branch},
-      {Opcode::BGE, false, branch},     {Opcode::NOP, false, {}},
-      {Opcode::HALT, false, {}},
-  };
-  return table;
-}
-
-inline void set_field(Instruction& in, Field f, int64_t v) {
-  switch (f) {
-    case Field::Rd: in.rd = static_cast<uint8_t>(v); break;
-    case Field::Rs1: in.rs1 = static_cast<uint8_t>(v); break;
-    case Field::Rs2: in.rs2 = static_cast<uint8_t>(v); break;
-    case Field::Imm: in.imm = static_cast<int32_t>(v); break;
-    case Field::Dst: in.dst_addr = static_cast<uint32_t>(v); break;
-    case Field::Src1: in.src1_addr = static_cast<uint32_t>(v); break;
-    case Field::Src2: in.src2_addr = static_cast<uint32_t>(v); break;
-    case Field::Len: in.len = static_cast<uint32_t>(v); break;
-    case Field::Group: in.group = static_cast<uint16_t>(v); break;
-    case Field::Tag: in.tag = static_cast<uint16_t>(v); break;
-    case Field::Core: in.core = static_cast<uint16_t>(v); break;
+/// Every opcode, in opcode-value order.
+inline std::vector<Opcode> opcodes() {
+  std::vector<Opcode> out;
+  for (unsigned v = 0; v < 256; ++v) {
+    if (op_info(static_cast<Opcode>(v)).name != nullptr) out.push_back(static_cast<Opcode>(v));
   }
+  return out;
 }
 
-/// Smallest and largest value a field of `bits` encodes (a length is at
-/// least 1; an immediate is signed).
-inline int64_t field_min(const FieldBits& f) {
-  if (f.field == Field::Imm) return -(int64_t{1} << (f.bits - 1));
-  return f.field == Field::Len ? 1 : 0;
+/// Smallest and largest value a field's slot encodes (a length is at least
+/// 1; an immediate is signed).
+inline int64_t field_min(const Operand& o) {
+  if (o.field == Field::Imm) return -(int64_t{1} << (o.bits - 1));
+  return o.field == Field::Len ? 1 : 0;
 }
-inline int64_t field_max(const FieldBits& f) {
-  if (f.field == Field::Imm) return (int64_t{1} << (f.bits - 1)) - 1;
-  return (int64_t{1} << f.bits) - 1;
+inline int64_t field_max(const Operand& o) {
+  if (o.field == Field::Imm) return (int64_t{1} << (o.bits - 1)) - 1;
+  return (int64_t{1} << o.bits) - 1;
 }
 
 /// One instruction per opcode, every field it carries at its maximum and
 /// i32 where it names an element type.
 inline std::vector<Instruction> max_field_instructions() {
   std::vector<Instruction> out;
-  for (const OpFields& o : op_fields()) {
+  for (Opcode op : opcodes()) {
+    const Format& format = *op_info(op).format;
     Instruction in;
-    in.op = o.op;
-    if (o.dtype) in.dtype = DType::I32;
-    for (const FieldBits& f : o.fields) set_field(in, f.field, field_max(f));
+    in.op = op;
+    if (format.dtype) in.dtype = DType::I32;
+    for (const Operand& o : format.operands()) set_field(in, o.field, field_max(o));
     out.push_back(in);
   }
   return out;
@@ -115,13 +53,15 @@ inline std::vector<Instruction> max_field_instructions() {
 /// A random instruction: a uniform opcode, then every field it carries
 /// uniform over its encodable range.
 inline Instruction random_instruction(Rng& rng) {
-  const std::vector<OpFields>& ops = op_fields();
-  const OpFields& o = ops[static_cast<size_t>(rng.uniform(0, static_cast<int64_t>(ops.size()) - 1))];
+  static const std::vector<Opcode> ops = opcodes();
   Instruction in;
-  in.op = o.op;
+  in.op = ops[static_cast<size_t>(rng.uniform(0, static_cast<int64_t>(ops.size()) - 1))];
+  const Format& format = *op_info(in.op).format;
   in.dtype = rng.uniform(0, 1) != 0 ? DType::I32 : DType::I8;
-  if (!o.dtype) in.dtype = DType::I8;
-  for (const FieldBits& f : o.fields) set_field(in, f.field, rng.uniform(field_min(f), field_max(f)));
+  if (!format.dtype) in.dtype = DType::I8;
+  for (const Operand& o : format.operands()) {
+    set_field(in, o.field, rng.uniform(field_min(o), field_max(o)));
+  }
   return in;
 }
 

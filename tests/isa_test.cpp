@@ -636,7 +636,7 @@ TEST(ProgramVerify, GoldenErrorLists) {
         "core 0 pc 0: mvm input range [0xfff0, +32) exceeds local memory (65536 bytes)",
         "core 0 pc 0: mvm output range [0xffc0, +128) exceeds local memory (65536 bytes)",
         "core 0 pc 1: vector dst range [0xfffc, +64) exceeds local memory (65536 bytes)",
-        "core 0 pc 1: vector src1 range [0xfff8, +256) exceeds local memory (65536 bytes)",
+        "core 0 pc 1: vector src1 range [0xfff8, +64) exceeds local memory (65536 bytes)",
         "core 0 pc 2: vector src2 range [0xfff0, +32) exceeds local memory (65536 bytes)",
         "core 0 pc 3: vector dst range [0x10000, +1) exceeds local memory (65536 bytes)",
         "core 1 pc 0: send src range [0xfffe, +4) exceeds local memory (65536 bytes)",
@@ -720,16 +720,16 @@ TEST(Program, LocalMemoryHighWaterIsTheHighestCheckedByte) {
   seg.bytes.assign(16, 0);
   cp.lm_init.push_back(seg);
   EXPECT_EQ(cp.lm_high_water(), 0x410u);
-  // An i8 vmov counts its source at 4 bytes per element, as verify does.
+  // An i8 vmov reads its source at 1 byte per element, as the core does.
   Instruction mv = bare(Opcode::VMOV);
   mv.dst_addr = 0x500;
   mv.src1_addr = 0x600;
   mv.len = 8;
   cp.code.insert(cp.code.end() - 1, mv);
-  EXPECT_EQ(cp.lm_high_water(), 0x620u);
+  EXPECT_EQ(cp.lm_high_water(), 0x608u);
   // An mvm on an undefined group touches nothing verify could size.
   cp.code.insert(cp.code.end() - 1, mvm_op(9, 0x1000, 0x2000, 32));
-  EXPECT_EQ(cp.lm_high_water(), 0x620u);
+  EXPECT_EQ(cp.lm_high_water(), 0x608u);
   EXPECT_EQ(CoreProgram{}.lm_high_water(), 0u);
 }
 
