@@ -10,7 +10,7 @@ failpoints baked into the binaries (PIMFAIL=site[:from[:count]]):
                    which SIGKILLs the process from inside the Nth journal
                    append after writing a torn half-record. This is a real
                    kill -9: no destructors, no flush, a partial line on disk.
-  3. resume      — rerun with --resume: the journal must replay the intact
+  3. resume      — rerun with the same --journal: it must replay the intact
                    records, discard the torn tail, finish the remaining
                    points, and produce a result byte-identical to (1).
   4. corruption  — PIMFAIL=cache_truncate forces a truncated cache-entry
@@ -81,7 +81,7 @@ def main():
 
     # 3. Resume: replay + finish must reproduce the reference byte for byte.
     p = run(args.pimdse, args.space, res_json,
-            ["--no-cache", "--resume", journal])
+            ["--no-cache", "--journal", journal])
     if p.returncode != 0:
         sys.exit("crash_recovery: resume failed (%d):\n%s"
                  % (p.returncode, p.stderr.decode()))

@@ -42,14 +42,6 @@ void apply_time_budget(runtime::Scenario* scenario, uint64_t max_time_ps) {
   budget = budget == 0 ? max_time_ps : std::min(budget, max_time_ps);
 }
 
-Evaluator::Evaluator(const SearchSpace& space, unsigned jobs, std::string cache_dir)
-    : space_(space),
-      artifacts_(std::make_shared<artifact::Store>()),
-      runner_(jobs),
-      cache_(std::move(cache_dir)) {
-  runner_.set_artifacts(artifacts_);
-}
-
 Evaluator::Evaluator(const SearchSpace& space, const EvalOptions& opts)
     : space_(space),
       artifacts_(opts.artifacts ? opts.artifacts : std::make_shared<artifact::Store>()),

@@ -69,9 +69,6 @@ void apply_time_budget(runtime::Scenario* scenario, uint64_t max_time_ps);
 /// Evaluates points through BatchRunner, consulting the result cache first.
 class Evaluator {
  public:
-  /// `jobs` as in BatchRunner (0 = all hardware threads); `cache_dir` empty
-  /// disables caching.
-  explicit Evaluator(const SearchSpace& space, unsigned jobs = 0, std::string cache_dir = {});
   Evaluator(const SearchSpace& space, const EvalOptions& opts);
 
   /// Called after each point resolves (cache hit or simulation), serialized:

@@ -511,7 +511,9 @@ TEST(EvaluatorArtifacts, FileEditedMidBatchCannotPoisonTheResultCache) {
   // Reference metrics: a clean evaluator, no cache, file untouched.
   std::vector<dse::EvaluatedPoint> reference;
   {
-    dse::Evaluator clean(space, /*jobs=*/1);
+    dse::EvalOptions one_job;
+    one_job.jobs = 1;
+    dse::Evaluator clean(space, one_job);
     reference = clean.evaluate(points);
     ASSERT_TRUE(reference[0].ok && reference[1].ok)
         << reference[0].error << " " << reference[1].error;

@@ -19,6 +19,15 @@
 namespace pim::dse {
 namespace {
 
+/// Evaluator options: `jobs` workers, a result cache in `cache_dir` (empty =
+/// none), everything else at its default.
+EvalOptions eval_options(unsigned jobs, std::string cache_dir = {}) {
+  EvalOptions opts;
+  opts.jobs = jobs;
+  opts.cache_dir = std::move(cache_dir);
+  return opts;
+}
+
 /// A fast space: 4-core chip, FC-only workload at 8x8 input.
 SearchSpace small_space() {
   return SearchSpace::from_json(json::parse(R"({
@@ -467,13 +476,13 @@ TEST(CacheTest, EvaluatorReusesResultsAcrossInstances) {
   const auto sampler = make_sampler("grid", s);
   const std::vector<Point> pts = sampler->propose(SIZE_MAX, {});
 
-  Evaluator first(s, 2, dir);
+  Evaluator first(s, eval_options(2, dir));
   const std::vector<EvaluatedPoint> cold = first.evaluate(pts);
   EXPECT_EQ(first.cache_stats().hits, 0u);
   EXPECT_EQ(first.cache_stats().misses, pts.size());
 
   // A fresh Evaluator (fresh process, in spirit) sees only hits...
-  Evaluator second(s, 2, dir);
+  Evaluator second(s, eval_options(2, dir));
   const std::vector<EvaluatedPoint> warm = second.evaluate(pts);
   EXPECT_EQ(second.cache_stats().hits, pts.size());
   EXPECT_EQ(second.cache_stats().misses, 0u);
@@ -684,13 +693,13 @@ TEST(CacheDirTest, TwoRunsPointedAtTheSharedDirGetCacheHits) {
 
   const SearchSpace s = small_space();
   const std::vector<Point> pts = make_sampler("grid", s)->propose(4, {});
-  Evaluator first(s, 2, resolved);
+  Evaluator first(s, eval_options(2, resolved));
   first.evaluate(pts);
   EXPECT_EQ(first.cache_stats().misses, pts.size());
   EXPECT_EQ(first.cache_stats().hits, 0u);
   // A second run (fresh process, in spirit) resolving the same env var
   // reuses every result.
-  Evaluator second(s, 2, resolved);
+  Evaluator second(s, eval_options(2, resolved));
   second.evaluate(pts);
   EXPECT_EQ(second.cache_stats().hits, pts.size());
   EXPECT_EQ(second.cache_stats().misses, 0u);

@@ -176,6 +176,40 @@ TEST(Encoding, ScalarRoundTrip) {
   EXPECT_EQ(decode(encode(br)), br);
 }
 
+TEST(Encoding, RejectsAValueItsFieldCannotHold) {
+  // Vector addresses have 20 bits: 0x100000 used to encode as 0.
+  Instruction in;
+  in.op = Opcode::VADD;
+  in.dst_addr = 0x100000;
+  in.len = 4;
+  try {
+    encode(in);
+    ADD_FAILURE() << "encoded " << to_string(in);
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("vadd"), std::string::npos) << what;
+    EXPECT_NE(what.find("dst"), std::string::npos) << what;
+  }
+  in.dst_addr = 0xFFFFF;
+  EXPECT_EQ(decode(encode(in)), in);
+
+  // A vector immediate is a signed 20-bit value.
+  Instruction imm;
+  imm.op = Opcode::VADDI;
+  imm.imm = -(1 << 19);
+  EXPECT_EQ(decode(encode(imm)), imm);
+  imm.imm = 1 << 19;
+  EXPECT_THROW(encode(imm), std::out_of_range);
+
+  Instruction mvm = mvm_instr();
+  mvm.src1_addr = 0x1000000;  // MVM addresses have 24 bits
+  EXPECT_THROW(encode(mvm), std::out_of_range);
+  Instruction vec_len;
+  vec_len.op = Opcode::VRELU;
+  vec_len.len = 4096;  // vector lengths have 12 bits
+  EXPECT_THROW(encode(vec_len), std::out_of_range);
+}
+
 /// Property sweep: every vector opcode round-trips with representative
 /// operand patterns.
 class VectorEncodingTest : public ::testing::TestWithParam<Opcode> {};

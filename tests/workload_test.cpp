@@ -20,6 +20,15 @@
 namespace pim::workload {
 namespace {
 
+/// Evaluator options: `jobs` workers, a result cache in `cache_dir` (empty =
+/// none), everything else at its default.
+dse::EvalOptions eval_options(unsigned jobs, std::string cache_dir = {}) {
+  dse::EvalOptions opts;
+  opts.jobs = jobs;
+  opts.cache_dir = std::move(cache_dir);
+  return opts;
+}
+
 std::string temp_path(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "pim_workload";
   std::filesystem::create_directories(dir);
@@ -462,18 +471,18 @@ TEST(FingerprintTest, DseCacheInvalidatesOnFileEdit) {
   const std::vector<dse::Point> pts = dse::make_sampler("grid", space)->propose(SIZE_MAX, {});
   ASSERT_EQ(pts.size(), 2u);
 
-  dse::Evaluator cold(space, 1, cache_dir);
+  dse::Evaluator cold(space, eval_options(1, cache_dir));
   cold.evaluate(pts);
   EXPECT_EQ(cold.cache_stats().misses, 2u);
 
   write_text_file(path, edited_net);
-  dse::Evaluator after_edit(space, 1, cache_dir);
+  dse::Evaluator after_edit(space, eval_options(1, cache_dir));
   after_edit.evaluate(pts);
   EXPECT_EQ(after_edit.cache_stats().hits, 0u) << "stale hit against an edited workload file";
   EXPECT_EQ(after_edit.cache_stats().misses, 2u);
 
   write_text_file(path, small_net);
-  dse::Evaluator back(space, 1, cache_dir);
+  dse::Evaluator back(space, eval_options(1, cache_dir));
   back.evaluate(pts);
   EXPECT_EQ(back.cache_stats().hits, 2u);
   EXPECT_EQ(back.cache_stats().misses, 0u);
@@ -499,7 +508,7 @@ TEST(FingerprintTest, EquivalentPointsSimulateOnceWithinABatch) {
     "knobs": {"input_hw": [8, 16, 32]}
   })");
   const dse::SearchSpace space = dse::SearchSpace::from_json(space_json);
-  dse::Evaluator ev(space, 1, "");
+  dse::Evaluator ev(space, eval_options(1));
   const std::vector<dse::EvaluatedPoint> res =
       ev.evaluate(dse::make_sampler("grid", space)->propose(SIZE_MAX, {}));
   ASSERT_EQ(res.size(), 3u);
@@ -548,14 +557,14 @@ TEST(FingerprintTest, FileEditedMidRunIsNotCachedUnderTheStaleKey) {
   ASSERT_EQ(pts.size(), 2u);
 
   // Uncached reference on the original content.
-  dse::Evaluator ref(space, 1, "");
+  dse::Evaluator ref(space, eval_options(1));
   const std::vector<dse::EvaluatedPoint> want = ref.evaluate(pts);
   ASSERT_EQ(want.size(), 2u);
 
   // jobs=1 serializes the two simulations; the file is swapped after the
   // first result lands, while the second point's key (built on net_a) is
   // still pending.
-  dse::Evaluator ev(space, 1, cache_dir);
+  dse::Evaluator ev(space, eval_options(1, cache_dir));
   ev.set_progress([&](const dse::EvaluatedPoint&, size_t done, size_t) {
     if (done == 1) write_text_file(path, net_b);
   });
@@ -568,7 +577,7 @@ TEST(FingerprintTest, FileEditedMidRunIsNotCachedUnderTheStaleKey) {
 
   // Back on the original content, both entries are valid and hit.
   write_text_file(path, net_a);
-  dse::Evaluator after(space, 1, cache_dir);
+  dse::Evaluator after(space, eval_options(1, cache_dir));
   const std::vector<dse::EvaluatedPoint> res = after.evaluate(pts);
   EXPECT_EQ(after.cache_stats().hits, 2u);
   EXPECT_EQ(after.cache_stats().misses, 0u);
@@ -594,7 +603,7 @@ TEST(FingerprintTest, VanishedFileDegradesToInfeasiblePoint) {
   })");
   const dse::SearchSpace space = dse::SearchSpace::from_json(space_json);
   std::filesystem::remove(path);  // gone between load and evaluate
-  dse::Evaluator ev(space, 1, "");
+  dse::Evaluator ev(space, eval_options(1));
   const std::vector<dse::EvaluatedPoint> res =
       ev.evaluate(dse::make_sampler("grid", space)->propose(SIZE_MAX, {}));
   ASSERT_EQ(res.size(), 1u);

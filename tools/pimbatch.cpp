@@ -145,9 +145,6 @@ int main(int argc, char** argv) {
               "crash-safety sidecar: append every completed scenario "
               "(checksummed, fsync'd); if FILE already holds a journal of "
               "this sweep, completed scenarios replay instead of re-running");
-  args.option("--resume", "FILE", "",
-              "resume from a journal written by --journal (same thing; the "
-              "name states the intent on the rerun command line)");
   args.option("--scenario-timeout-ms", "N", "0",
               "per-scenario wall-clock watchdog: kill any single simulation "
               "that runs longer than N host ms (0 = off)");
@@ -198,8 +195,7 @@ int main(int argc, char** argv) {
 
     // Crash-safety sidecar: completed scenarios replay from the journal
     // instead of re-simulating; only the not-yet-journaled subset runs.
-    const std::string journal_path =
-        !args.get("--resume").empty() ? args.get("--resume") : args.get("--journal");
+    const std::string journal_path = args.get("--journal");
     journal::Journal jrnl;
     std::map<std::string, json::Value> replayed;  // scenario name -> journaled result row
     if (!journal_path.empty()) {
@@ -304,7 +300,7 @@ int main(int argc, char** argv) {
                    scenarios.size(), scenarios.size() == 1 ? "" : "s",
                    journal_path.empty()
                        ? ""
-                       : ("; rerun with --resume " + journal_path + " to continue").c_str());
+                       : ("; rerun with --journal " + journal_path + " to continue").c_str());
       return 130;
     }
     return all_ok && verified_ok ? 0 : 1;

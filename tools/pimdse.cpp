@@ -78,9 +78,6 @@ int main(int argc, char** argv) {
               "crash-safety sidecar: append every evaluated point (checksummed, "
               "fsync'd per batch); if FILE already holds a journal of this "
               "exploration, completed points replay instead of re-simulating");
-  args.option("--resume", "FILE", "",
-              "resume from a journal written by --journal (same thing; the "
-              "name states the intent on the rerun command line)");
   args.option("--scenario-timeout-ms", "N", "0",
               "per-point wall-clock watchdog: kill any single simulation that "
               "runs longer than N host ms (0 = off; killed points are "
@@ -156,8 +153,7 @@ int main(int argc, char** argv) {
                                           : std::min(ms_ps, us_ps);
     opts.metrics = obs.registry();
     opts.trace = obs.sink();
-    opts.journal_path =
-        !args.get("--resume").empty() ? args.get("--resume") : args.get("--journal");
+    opts.journal_path = args.get("--journal");
     opts.scenario_timeout_ms = static_cast<uint64_t>(args.get_unsigned("--scenario-timeout-ms"));
     opts.max_retries = args.get_unsigned("--retries");
     opts.retry_backoff_ms = std::max(1u, args.get_unsigned("--retry-backoff-ms"));
@@ -227,7 +223,7 @@ int main(int argc, char** argv) {
                    res.points.size(), res.points.size() == 1 ? "" : "s",
                    opts.journal_path.empty()
                        ? ""
-                       : ("; rerun with --resume " + opts.journal_path + " to continue").c_str());
+                       : ("; rerun with --journal " + opts.journal_path + " to continue").c_str());
       return 130;
     }
     return res.frontier.empty() ? 1 : 0;
