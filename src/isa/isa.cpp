@@ -29,34 +29,36 @@ constexpr Operand kRs2{F::Rs2, 0, 32, 8, S::Reg};
 constexpr Operand kScalarImm{F::Imm, 1, 0, 32, S::Int};
 constexpr Operand kTarget{F::Imm, 1, 0, 32, S::Target};
 
-constexpr Access kVecWrite{F::Dst, true, "vector dst"};
-constexpr Access kVecRead1{F::Src1, false, "vector src1"};
+constexpr auto kDst = &Instruction::dst_addr;
+constexpr auto kSrc1 = &Instruction::src1_addr;
+constexpr Access kVecWrite{kDst, true, "vector dst"};
+constexpr Access kVecRead1{kSrc1, false, "vector src1"};
 
 constexpr Format kMvm{{{F::Group, 0, 48, 16, S::Group},
                        {F::Dst, 1, 24, 24, S::Addr},
                        {F::Src1, 1, 0, 24, S::Addr},
                        {F::Len, 1, 48, 16, S::Named}},
-                      {{F::Src1, false, "mvm input"}, {F::Dst, true, "mvm output"}},
+                      {{kSrc1, false, "mvm input"}, {kDst, true, "mvm output", true}},
                       false};
 // One-source ops carry src2 all the same (it encodes and prints) but never
 // read it.
 constexpr Format kVecTwoSrc{{kVecDst, kVecSrc1, kVecSrc2, kShortLen},
-                            {kVecWrite, kVecRead1, {F::Src2, false, "vector src2"}},
+                            {kVecWrite, kVecRead1, {&Instruction::src2_addr, false, "vector src2"}},
                             true};
 constexpr Format kVecOneSrc{{kVecDst, kVecSrc1, kVecSrc2, kShortLen}, {kVecWrite, kVecRead1}, true};
 constexpr Format kVecImmForm{{kVecDst, kVecSrc1, kVecImm, kShortLen}, {kVecWrite, kVecRead1}, true};
 constexpr Format kVecSet{{kVecDst, kVecImm, kShortLen}, {kVecWrite}, true};
 constexpr Format kSend{{kPeer, kTag, {F::Src1, 1, 0, 20, S::Addr}, kPairLen},
-                       {{F::Src1, false, "send src"}},
+                       {{kSrc1, false, "send src"}},
                        true};
 constexpr Format kRecv{{kPeer, kTag, {F::Dst, 1, 0, 20, S::Addr}, kPairLen},
-                       {{F::Dst, true, "recv dst"}},
+                       {{kDst, true, "recv dst"}},
                        true};
 constexpr Format kGload{{{F::Dst, 1, 0, 20, S::Addr}, kGlobal, kShortLen},
-                        {{F::Dst, true, "global transfer local side"}},
+                        {{kDst, true, "global transfer local side"}},
                         true};
 constexpr Format kGstore{{kGlobal, {F::Src1, 1, 0, 20, S::Addr}, kShortLen},
-                         {{F::Src1, false, "global transfer local side"}},
+                         {{kSrc1, false, "global transfer local side"}},
                          true};
 constexpr Format kLdi{{kRd, kScalarImm}, {}, false};
 constexpr Format kRegImm{{kRd, kRs1, kScalarImm}, {}, false};
@@ -195,32 +197,26 @@ uint32_t dst_width(const Instruction& in) { return width(op_info(in.op).dst_widt
 
 LocalRanges local_ranges(const Instruction& in, uint32_t mvm_out_len) {
   const OpInfo& info = op_info(in.op);
+  const uint64_t src = uint64_t{in.len} * width(info.src_width, in.dtype);
+  const uint64_t dst = uint64_t{in.len} * width(info.dst_width, in.dtype);
   LocalRanges out;
   for (const Access& a : info.format->accesses()) {
-    const uint64_t elems = a.write && in.op == Opcode::MVM ? mvm_out_len : in.len;
-    const uint32_t w = width(a.write ? info.dst_width : info.src_width, in.dtype);
-    out.at[out.count++] = LocalRange{static_cast<uint32_t>(get_field(in, a.addr)), elems * w,
-                                     a.write, a.name};
+    const uint64_t bytes = !a.write ? src : a.group_out ? 4ull * mvm_out_len : dst;
+    out.at[out.count++] = LocalRange{in.*a.addr, bytes, a.write, a.name};
   }
   return out;
 }
 
 uint64_t Instruction::bytes_in() const {
-  uint64_t bytes = 0;
-  for (const LocalRange& r : local_ranges(*this)) {
-    if (!r.write) bytes += r.bytes;
-  }
-  return bytes;
+  const OpInfo& info = op_info(op);
+  return uint64_t{len} * info.format->reads * width(info.src_width, dtype);
 }
 
 uint64_t Instruction::bytes_out() const {
-  // An MVM's output length belongs to its crossbar group; the matrix unit
-  // accounts for it from the group table, so it counts 0 here.
-  uint64_t bytes = 0;
-  for (const LocalRange& r : local_ranges(*this)) {
-    if (r.write) bytes += r.bytes;
-  }
-  return bytes;
+  // An MVM's output belongs to its crossbar group; the matrix unit accounts
+  // for it from the group table, so it counts 0 here.
+  const OpInfo& info = op_info(op);
+  return uint64_t{len} * info.format->len_writes * width(info.dst_width, dtype);
 }
 
 uint32_t regs_read(const Instruction& in) {

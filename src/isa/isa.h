@@ -197,11 +197,12 @@ struct Operand {
 
 /// A local-memory range an opcode reads or writes. Its size is `len`
 /// elements of the opcode's source or destination width, except an MVM's
-/// output, which is its group's out_len int32 sums.
+/// output (group_out), which is its group's out_len int32 sums.
 struct Access {
-  Field addr = Field::Dst;
+  uint32_t Instruction::*addr = &Instruction::dst_addr;
   bool write = false;
   const char* name = "";  ///< operand name in verify's messages
+  bool group_out = false;
 };
 
 /// An operand format: the fields an opcode carries, in assembly-text order,
@@ -216,15 +217,21 @@ struct Format {
       carried |= 1u << static_cast<unsigned>(o.field);
       if (o.syntax == Syntax::Target) branch = true;
     }
-    for (const Access& a : acc) accesses_[access_count_++] = a;
+    for (const Access& a : acc) {
+      accesses_[access_count_++] = a;
+      if (!a.write) ++reads;
+      if (a.write && !a.group_out) ++len_writes;
+    }
   }
   std::span<const Operand> operands() const { return {operands_.data(), operand_count_}; }
   std::span<const Access> accesses() const { return {accesses_.data(), access_count_}; }
   bool carries(Field f) const { return (carried >> static_cast<unsigned>(f)) & 1u; }
 
-  bool dtype = false;   ///< text ends with ", i8" or ", i32"
-  bool branch = false;  ///< carries a branch target
+  bool dtype = false;    ///< text ends with ", i8" or ", i32"
+  bool branch = false;   ///< carries a branch target
   uint16_t carried = 0;  ///< bit per Field
+  uint8_t reads = 0;       ///< accesses that read `len` source elements
+  uint8_t len_writes = 0;  ///< accesses that write `len` destination elements
 
  private:
   std::array<Operand, 4> operands_{};
