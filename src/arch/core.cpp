@@ -159,13 +159,13 @@ void Core::fill_hazard_info(RobEntry& e) const {
   // its group's out_len int32 partial sums.
   const Instruction& in = *e.instr;
   const uint32_t out_len = e.cls == InstrClass::Matrix ? group(in.group).out_len : 0;
-  for (const isa::LocalRange& r : isa::local_ranges(in, out_len)) {
+  isa::local_ranges(in, out_len, [&e](const isa::LocalRange& r) {
     if (r.write) {
       e.write = r;
     } else {
       e.reads[e.read_count++] = r;
     }
-  }
+  });
   e.reg_reads = isa::regs_read(in);
   e.reg_writes = isa::regs_written(in);
 }

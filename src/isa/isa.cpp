@@ -118,22 +118,18 @@ constexpr OpDef kOps[] = {
     {Opcode::HALT, {"halt", &kNone, 0, 0}},
 };
 
-/// kOps indexed by opcode value, so a lookup is one array access.
-constexpr std::array<OpInfo, 256> kByValue = [] {
+constexpr const char* kFieldNames[] = {"rd",  "rs1", "rs2", "imm",   "dst", "src1",
+                                       "src2", "len", "group", "tag", "core"};
+
+}  // namespace
+
+// kOps indexed by opcode value, so a lookup is one array access.
+constexpr std::array<OpInfo, 256> detail::kOpTable = [] {
   std::array<OpInfo, 256> t{};
   for (OpInfo& row : t) row.format = &kNone;
   for (const OpDef& d : kOps) t[static_cast<uint8_t>(d.op)] = d.info;
   return t;
 }();
-
-constexpr const char* kFieldNames[] = {"rd",  "rs1", "rs2", "imm",   "dst", "src1",
-                                       "src2", "len", "group", "tag", "core"};
-
-uint32_t width(uint8_t w, DType dtype) { return w != kDtype ? w : dtype_size(dtype); }
-
-}  // namespace
-
-const OpInfo& op_info(Opcode op) { return kByValue[static_cast<uint8_t>(op)]; }
 
 const char* opcode_name(Opcode op) {
   const char* name = op_info(op).name;
@@ -154,8 +150,6 @@ Opcode opcode_from_name(const std::string& name) {
 bool uses_vector_imm(Opcode op) {
   return instr_class(op) == InstrClass::Vector && op_info(op).format->carries(Field::Imm);
 }
-
-bool is_branch(Opcode op) { return op_info(op).format->branch; }
 
 const char* field_name(Field f) { return kFieldNames[static_cast<size_t>(f)]; }
 
@@ -190,43 +184,6 @@ void set_field(Instruction& in, Field f, int64_t v) {
     case Field::Tag: in.tag = static_cast<uint16_t>(v); break;
     case Field::Core: in.core = static_cast<uint16_t>(v); break;
   }
-}
-
-uint32_t src_width(const Instruction& in) { return width(op_info(in.op).src_width, in.dtype); }
-uint32_t dst_width(const Instruction& in) { return width(op_info(in.op).dst_width, in.dtype); }
-
-LocalRanges local_ranges(const Instruction& in, uint32_t mvm_out_len) {
-  const OpInfo& info = op_info(in.op);
-  const uint64_t src = uint64_t{in.len} * width(info.src_width, in.dtype);
-  const uint64_t dst = uint64_t{in.len} * width(info.dst_width, in.dtype);
-  LocalRanges out;
-  for (const Access& a : info.format->accesses()) {
-    const uint64_t bytes = !a.write ? src : a.group_out ? 4ull * mvm_out_len : dst;
-    out.at[out.count++] = LocalRange{in.*a.addr, bytes, a.write, a.name};
-  }
-  return out;
-}
-
-uint64_t Instruction::bytes_in() const {
-  const OpInfo& info = op_info(op);
-  return uint64_t{len} * info.format->reads * width(info.src_width, dtype);
-}
-
-uint64_t Instruction::bytes_out() const {
-  // An MVM's output belongs to its crossbar group; the matrix unit accounts
-  // for it from the group table, so it counts 0 here.
-  const OpInfo& info = op_info(op);
-  return uint64_t{len} * info.format->len_writes * width(info.dst_width, dtype);
-}
-
-uint32_t regs_read(const Instruction& in) {
-  const Format& f = *op_info(in.op).format;
-  auto bit = [](uint8_t r) { return r == 0 ? 0u : 1u << r; };
-  return (f.carries(Field::Rs1) ? bit(in.rs1) : 0u) | (f.carries(Field::Rs2) ? bit(in.rs2) : 0u);
-}
-
-uint32_t regs_written(const Instruction& in) {
-  return op_info(in.op).format->carries(Field::Rd) && in.rd != 0 ? 1u << in.rd : 0u;
 }
 
 // ---------------------------------------------------------------- encoding

@@ -107,9 +107,6 @@ Opcode opcode_from_name(const std::string& name);
 /// a second local-memory address (vaddi/vmuli/vshr/vdivi/vset/vquant).
 bool uses_vector_imm(Opcode op);
 
-/// True for control-flow opcodes: jmp and the conditional branches.
-bool is_branch(Opcode op);
-
 /// A decoded instruction. The same struct is produced by the compiler, by
 /// the binary decoder, and by the assembler; the simulator executes it
 /// directly (decode cost is modeled in time, not re-done in data).
@@ -248,11 +245,27 @@ struct OpInfo {
   uint8_t src_width = 0;  ///< source element bytes: 1, 4, or 0 for dtype_size(dtype)
   uint8_t dst_width = 0;  ///< destination element bytes, likewise
 };
-const OpInfo& op_info(Opcode op);
+
+// The lookups below run once or more per simulated instruction, so they are
+// inline and read the table directly.
+namespace detail {
+/// The operand table, indexed by opcode value (defined in isa.cpp).
+extern const std::array<OpInfo, 256> kOpTable;
+inline uint32_t width(uint8_t w, DType t) { return w != 0 ? w : dtype_size(t); }
+}  // namespace detail
+
+inline const OpInfo& op_info(Opcode op) { return detail::kOpTable[static_cast<uint8_t>(op)]; }
+
+/// True for control-flow opcodes: jmp and the conditional branches.
+inline bool is_branch(Opcode op) { return op_info(op).format->branch; }
 
 /// Element bytes of an instruction's sources and of its destination.
-uint32_t src_width(const Instruction& in);
-uint32_t dst_width(const Instruction& in);
+inline uint32_t src_width(const Instruction& in) {
+  return detail::width(op_info(in.op).src_width, in.dtype);
+}
+inline uint32_t dst_width(const Instruction& in) {
+  return detail::width(op_info(in.op).dst_width, in.dtype);
+}
 
 /// A local-memory byte range an instruction reads or writes.
 struct LocalRange {
@@ -265,22 +278,43 @@ struct LocalRange {
   }
 };
 
-/// The local-memory ranges of one instruction, in the order verify reports
-/// them: mvm input, output; vector dst, src1, src2; the transfer's local side.
-struct LocalRanges {
-  std::array<LocalRange, 3> at{};
-  size_t count = 0;
-  const LocalRange* begin() const { return at.data(); }
-  const LocalRange* end() const { return at.data() + count; }
-};
-/// `mvm_out_len` sizes an MVM's output (its group's out_len); other opcodes
-/// ignore it.
-LocalRanges local_ranges(const Instruction& in, uint32_t mvm_out_len = 0);
+/// Calls `visit(const LocalRange&)` for each local-memory range of `in`, in
+/// the order verify reports them: mvm input, output; vector dst, src1, src2;
+/// the transfer's local side. `mvm_out_len` sizes an MVM's output (its
+/// group's out_len); other opcodes ignore it.
+template <class Visit>
+void local_ranges(const Instruction& in, uint32_t mvm_out_len, Visit&& visit) {
+  const OpInfo& info = op_info(in.op);
+  const uint64_t src = uint64_t{in.len} * detail::width(info.src_width, in.dtype);
+  const uint64_t dst = uint64_t{in.len} * detail::width(info.dst_width, in.dtype);
+  for (const Access& a : info.format->accesses()) {
+    const uint64_t bytes = !a.write ? src : a.group_out ? 4ull * mvm_out_len : dst;
+    visit(LocalRange{in.*a.addr, bytes, a.write, a.name});
+  }
+}
+
+inline uint64_t Instruction::bytes_in() const {
+  const OpInfo& info = op_info(op);
+  return uint64_t{len} * info.format->reads * detail::width(info.src_width, dtype);
+}
+
+inline uint64_t Instruction::bytes_out() const {
+  // An MVM's output belongs to its crossbar group; the matrix unit accounts
+  // for it from the group table, so it counts 0 here.
+  const OpInfo& info = op_info(op);
+  return uint64_t{len} * info.format->len_writes * detail::width(info.dst_width, dtype);
+}
 
 /// Bit masks of the scalar registers an instruction reads and writes. r0
 /// reads as zero and ignores writes, so it is in neither mask.
-uint32_t regs_read(const Instruction& in);
-uint32_t regs_written(const Instruction& in);
+inline uint32_t regs_read(const Instruction& in) {
+  const Format& f = *op_info(in.op).format;
+  const auto bit = [](uint8_t r) { return r == 0 ? 0u : 1u << r; };
+  return (f.carries(Field::Rs1) ? bit(in.rs1) : 0u) | (f.carries(Field::Rs2) ? bit(in.rs2) : 0u);
+}
+inline uint32_t regs_written(const Instruction& in) {
+  return op_info(in.op).format->carries(Field::Rd) && in.rd != 0 ? 1u << in.rd : 0u;
+}
 
 // -- binary encoding ---------------------------------------------------------
 //

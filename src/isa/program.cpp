@@ -35,9 +35,8 @@ uint64_t CoreProgram::lm_high_water() const {
       g = in.group < table.size() ? table[in.group] : nullptr;
       if (g == nullptr) continue;  // verify rejects it; nothing to size
     }
-    for (const LocalRange& r : local_ranges(in, g != nullptr ? g->out_len : 0)) {
-      mark = std::max(mark, r.addr + r.bytes);
-    }
+    local_ranges(in, g != nullptr ? g->out_len : 0,
+                 [&mark](const LocalRange& r) { mark = std::max(mark, r.addr + r.bytes); });
   }
   return mark;
 }
@@ -224,13 +223,13 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
           break;
         }
       }
-      for (const LocalRange& r : local_ranges(in, g != nullptr ? g->out_len : 0)) {
+      local_ranges(in, g != nullptr ? g->out_len : 0, [&](const LocalRange& r) {
         if (r.addr + r.bytes > lm_size) {
           err(loc(pc) + strformat("%s range [0x%x, +%llu) exceeds local memory (%llu bytes)",
                                   r.name, r.addr, static_cast<unsigned long long>(r.bytes),
                                   static_cast<unsigned long long>(lm_size)));
         }
-      }
+      });
       if (in.op == Opcode::GLOAD || in.op == Opcode::GSTORE) {
         const uint64_t gaddr = static_cast<uint32_t>(in.imm);
         if (gaddr + uint64_t{in.len} * dtype_size(in.dtype) > cfg.global_memory.size_bytes) {
