@@ -190,7 +190,7 @@ void set_field(Instruction& in, Field f, int64_t v) {
 
 namespace {
 uint64_t slot_mask(const Operand& o) {
-  return o.bits == 64 ? ~uint64_t{0} : (uint64_t{1} << o.bits) - 1;
+  return (uint64_t{1} << o.bits) - 1;  // slots are at most 32 bits wide
 }
 }  // namespace
 
@@ -218,7 +218,7 @@ Instruction decode(const EncodedInstruction& enc) {
   in.dtype = static_cast<DType>((enc.word0 >> 8) & 0xFF);
   for (const Operand& o : op_info(in.op).format->operands()) {
     uint64_t raw = (words[o.word] >> o.lsb) & slot_mask(o);
-    if (o.field == Field::Imm && o.bits < 64 && ((raw >> (o.bits - 1)) & 1)) {
+    if (o.field == Field::Imm && ((raw >> (o.bits - 1)) & 1)) {
       raw |= ~slot_mask(o);  // sign-extend
     }
     set_field(in, o.field, static_cast<int64_t>(raw));

@@ -224,9 +224,9 @@ struct Format {
   std::span<const Access> accesses() const { return {accesses_.data(), access_count_}; }
   bool carries(Field f) const { return (carried >> static_cast<unsigned>(f)) & 1u; }
 
-  bool dtype = false;    ///< text ends with ", i8" or ", i32"
-  bool branch = false;   ///< carries a branch target
-  uint16_t carried = 0;  ///< bit per Field
+  bool dtype = false;      ///< text ends with ", i8" or ", i32"
+  bool branch = false;     ///< carries a branch target
+  uint16_t carried = 0;    ///< bit per Field
   uint8_t reads = 0;       ///< accesses that read `len` source elements
   uint8_t len_writes = 0;  ///< accesses that write `len` destination elements
 
