@@ -26,7 +26,7 @@ int main() {
     std::vector<std::string> row = {name};
     double base = 0;
     for (size_t i = 0; i < adcs.size(); ++i) {
-      config::ArchConfig cfg = config::ArchConfig::paper_default();
+      config::ArchConfig cfg = config::ArchConfig::preset("paper");
       cfg.core.matrix.adc_count = adcs[i];
       cfg.core.rob_size = 16;
       runtime::Report rep = bench::run(net, cfg, compiler::MappingPolicy::PerformanceFirst);

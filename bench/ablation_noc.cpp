@@ -38,7 +38,7 @@ int main() {
   std::vector<std::string> labels;
   double base = 0;
   for (size_t i = 0; i < points.size(); ++i) {
-    config::ArchConfig cfg = config::ArchConfig::paper_default();
+    config::ArchConfig cfg = config::ArchConfig::preset("paper");
     cfg.noc.link_bytes_per_cycle = points[i].link_bytes;
     cfg.noc.hop_latency_cycles = points[i].hop_cycles;
     cfg.core.rob_size = 8;

@@ -18,7 +18,7 @@ int main() {
   std::vector<std::string> nets = {"alexnet", "vgg8", "squeezenet"};
   if (bench::quick()) nets = {"alexnet"};
 
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   cfg.core.rob_size = 16;
 
   std::vector<std::vector<std::string>> rows;

@@ -17,7 +17,7 @@ int main() {
   std::vector<std::string> nets = {"alexnet", "googlenet", "resnet18", "squeezenet"};
   if (bench::quick()) nets = {"alexnet", "squeezenet"};
 
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   cfg.core.rob_size = 1;  // paper: "with ROB size set to 1"
 
   std::vector<std::vector<std::string>> rows;

@@ -25,7 +25,7 @@ int main() {
     std::vector<std::string> row = {name};
     double base = 0;
     for (size_t i = 0; i < rob_sizes.size(); ++i) {
-      config::ArchConfig cfg = config::ArchConfig::paper_default();
+      config::ArchConfig cfg = config::ArchConfig::preset("paper");
       cfg.core.rob_size = rob_sizes[i];
       runtime::Report rep = bench::run(net, cfg, compiler::MappingPolicy::PerformanceFirst);
       if (i == 0) base = rep.latency_ms();

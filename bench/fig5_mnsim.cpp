@@ -22,7 +22,7 @@ int main() {
   std::vector<std::string> nets = {"vgg8", "vgg16", "resnet18"};
   if (bench::quick()) nets = {"vgg8", "resnet18"};
 
-  config::ArchConfig cfg = config::ArchConfig::mnsim_like();
+  config::ArchConfig cfg = config::ArchConfig::preset("mnsim");
 
   std::vector<std::vector<std::string>> rows;
   stats::Series s_mnsim{"MNSIM2.0", {}}, s_ours{"Ours", {}};

@@ -91,7 +91,7 @@ BENCHMARK(BM_IsaEncodeDecode);
 // ---------------------------------------------------------------------- JSON
 
 void BM_JsonRoundTrip(benchmark::State& state) {
-  const json::Value cfg = config::ArchConfig::paper_default().to_json();
+  const json::Value cfg = config::ArchConfig::preset("paper").to_json();
   const std::string text = cfg.dump(2);
   for (auto _ : state) {
     json::Value v = json::parse(text);
@@ -108,7 +108,7 @@ void BM_CompileTinyCnn(benchmark::State& state) {
   mopt.input_hw = 8;
   mopt.init_params = false;
   nn::Graph net = nn::build_tiny_cnn(mopt);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   compiler::CompileOptions copts;
   copts.include_weights = false;
   for (auto _ : state) {
@@ -123,7 +123,7 @@ void BM_MapAlexnet(benchmark::State& state) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph net = nn::build_alexnet(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   for (auto _ : state) {
     compiler::Mapping m =
         compiler::plan_mapping(net, cfg, compiler::MappingPolicy::PerformanceFirst);

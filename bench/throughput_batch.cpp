@@ -42,7 +42,7 @@ int main() {
   std::vector<std::string> nets = {"alexnet", "squeezenet"};
   if (bench::quick()) nets = {"squeezenet"};
 
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   cfg.core.rob_size = 16;
   cfg.sim.functional = false;
 

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
   if (argc <= 1) {
     // Materialize the demo inputs.
     json::write_file(net_path, json::parse(kDemoNetwork));
-    config::ArchConfig demo_cfg = config::ArchConfig::tiny();
+    config::ArchConfig demo_cfg = config::ArchConfig::preset("tiny");
     demo_cfg.name = "demo-4core";
     demo_cfg.save(cfg_path);
     std::printf("wrote %s and %s\n", net_path.c_str(), cfg_path.c_str());

@@ -65,7 +65,7 @@ int main() {
   std::memcpy(bias.bytes.data(), b, 32);
   program.cores[0].lm_init.push_back(bias);
 
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   std::vector<std::string> errors = program.verify(cfg);
   for (const std::string& e : errors) std::printf("verify: %s\n", e.c_str());
   if (!errors.empty()) return 1;

@@ -18,14 +18,14 @@
 int main() {
   using namespace pim;
 
-  // A small CNN on a 4-core chip (use ArchConfig::paper_default() for the
+  // A small CNN on a 4-core chip (use ArchConfig::preset("paper") for the
   // 64-core configuration the paper evaluates).
   nn::ModelOptions mopt;
   mopt.input_hw = 8;
   mopt.input_channels = 3;
   mopt.num_classes = 10;
   nn::Graph net = nn::build_tiny_cnn(mopt);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
 
   std::printf("network: %s  (%lld MACs, %lld weights)\n", net.name().c_str(),
               static_cast<long long>(net.total_macs()),

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   const bool functional = has_flag(argc, argv, "--functional");
   const bool as_json = has_flag(argc, argv, "--json");
 
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   cfg.core_count = static_cast<uint32_t>(cores);
   // Squarest mesh for the requested core count.
   uint32_t w = 1;

@@ -165,7 +165,8 @@ class Core {
 
   sim::Clock clock_;
   std::vector<uint8_t> lm_;
-  std::array<int32_t, 32> regs_{};
+  std::array<int32_t, config::kMaxRegisterCount> regs_{};
+  static_assert(config::kMaxRegisterCount <= 32, "register hazard masks are 32 bits wide");
 
   // Structural resources.
   sim::Resource lm_port_;

@@ -65,13 +65,6 @@ Link* Noc::next_link(Route& r) {
   return nullptr;
 }
 
-std::vector<Link*> Noc::route(uint16_t from, uint16_t to) {
-  std::vector<Link*> path;
-  Route r = route_of(from, to);
-  while (Link* l = next_link(r)) path.push_back(l);
-  return path;
-}
-
 void Noc::attach_trace(telemetry::TraceSink& sink, uint32_t pid) {
   static constexpr const char* kDirNames[4] = {"+x", "-x", "+y", "-y"};
   for (size_t id = 0; id < links_.size(); ++id) {

@@ -116,8 +116,6 @@ class Noc {
   Route route_of(uint16_t from, uint16_t to) const;
   /// The next directed link of `r`, advancing it; nullptr once it is done.
   Link* next_link(Route& r);
-  /// Every link of the route from `from` to `to`, in traversal order.
-  std::vector<Link*> route(uint16_t from, uint16_t to);
 
   /// Mesh hops between two nodes (for analytic models and tests).
   uint32_t hop_count(uint16_t from, uint16_t to) const { return route_of(from, to).hops(); }

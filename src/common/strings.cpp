@@ -92,6 +92,11 @@ std::string dirname(std::string_view path) {
   return std::string(path.substr(0, slash));
 }
 
+std::string resolve_path(const std::string& path, const std::string& base_dir) {
+  if (base_dir.empty() || path.empty() || path[0] == '/') return path;
+  return base_dir + "/" + path;
+}
+
 uint64_t fnv1a64(std::string_view data) {
   uint64_t h = 0xcbf29ce484222325ull;
   for (const char c : data) {

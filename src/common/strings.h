@@ -30,6 +30,11 @@ std::string join(const std::vector<std::string>& items, std::string_view sep);
 /// file that made them.
 std::string dirname(std::string_view path);
 
+/// A file reference made by a spec in `base_dir`: a relative `path` is
+/// joined to `base_dir`; an absolute or empty one, or an empty `base_dir`
+/// (the working directory), leaves it as it is.
+std::string resolve_path(const std::string& path, const std::string& base_dir);
+
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

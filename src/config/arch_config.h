@@ -5,7 +5,8 @@
 //
 // All latencies are expressed in cycles of the owning clock domain, all
 // dynamic energies in picojoules, static powers in milliwatts. The JSON
-// schema mirrors the struct layout 1:1; see `configs/` for examples.
+// schema mirrors the struct layout 1:1. The named presets are the files
+// configs/{tiny,paper_default,mnsim_like}.json, compiled into the library.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,10 @@
 #include "json/json.h"
 
 namespace pim::config {
+
+/// Size of the core's scalar register file and width of its register hazard
+/// masks: the most registers a configuration may declare.
+inline constexpr uint32_t kMaxRegisterCount = 32;
 
 /// Crossbar array parameters (the memristor MVM engine).
 struct XbarConfig {
@@ -87,7 +92,7 @@ struct CoreConfig {
   uint32_t rob_size = 16;           ///< re-order buffer capacity
   uint32_t fetch_decode_cycles = 1; ///< front-end latency per instruction
   uint32_t dispatch_width = 1;      ///< instructions dispatched per cycle
-  uint32_t register_count = 32;     ///< scalar register file size
+  uint32_t register_count = kMaxRegisterCount;  ///< scalar registers, in [4, kMaxRegisterCount]
   MatrixUnitConfig matrix;
   VectorUnitConfig vector;
   ScalarUnitConfig scalar;
@@ -147,29 +152,24 @@ struct ArchConfig {
   /// (e.g. mesh_width*mesh_height != core_count, zero sizes, ...).
   void validate() const;
 
+  /// Arrange core_count cores as the squarest mesh: mesh_height is the
+  /// largest divisor of core_count not above its square root.
+  void set_squarest_mesh();
+
   json::Value to_json() const;
-  /// Missing keys keep their defaults. Throws std::invalid_argument for a
-  /// millisecond budget or a non-empty trace path under "sim", which older
-  /// configs may carry but nothing reads any more.
+  /// Missing keys keep their defaults; omitted mesh dimensions become the
+  /// squarest mesh. Throws std::invalid_argument for a key to_json() does
+  /// not write (naming its dotted path), and for a millisecond budget or a
+  /// non-empty trace path under "sim", which older configs may carry but
+  /// nothing reads any more.
   static ArchConfig from_json(const json::Value& v);
   static ArchConfig load(const std::string& path);
   void save(const std::string& path) const;
 
-  // ---- Presets -----------------------------------------------------------
-
-  /// The configuration used in the paper's §IV-A experiments: 64 cores,
-  /// 512 crossbars per core, 128x128 arrays, one shared ADC per core.
-  static ArchConfig paper_default();
-
-  /// Crossbar configuration extracted to match MNSIM2.0's defaults, used in
-  /// the paper's §IV-B comparison.
-  static ArchConfig mnsim_like();
-
-  /// A small 4-core configuration for unit tests and the quickstart example.
-  static ArchConfig tiny();
-
-  /// Preset lookup by name ("tiny" | "paper" | "mnsim"); throws
-  /// std::invalid_argument with the expected-names list for anything else.
+  /// Preset lookup by name: "tiny", "paper" and "mnsim" are
+  /// configs/{tiny,paper_default,mnsim_like}.json, embedded at build time and
+  /// parsed once per process. Throws std::invalid_argument with the
+  /// expected-names list for any other name.
   static ArchConfig preset(const std::string& name);
 };
 

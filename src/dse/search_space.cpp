@@ -58,17 +58,6 @@ double positive_number(const std::string& knob, const json::Value& v) {
   return v.as_double();
 }
 
-/// The squarest w*h == core_count factorization (same rule as
-/// config::ArchConfig::from_json applies when mesh dims are omitted).
-void derive_squarest_mesh(config::ArchConfig* cfg) {
-  uint32_t w = 1;
-  for (uint32_t i = 1; static_cast<uint64_t>(i) * i <= cfg->core_count; ++i) {
-    if (cfg->core_count % i == 0) w = i;
-  }
-  cfg->mesh_height = w;
-  cfg->mesh_width = cfg->core_count / w;
-}
-
 /// Expand one knob's JSON spec into its ordered value list.
 std::vector<json::Value> expand_values(const std::string& name, const json::Value& spec) {
   if (spec.is_array()) {
@@ -581,18 +570,12 @@ SearchSpace SearchSpace::from_json(const json::Value& v, const std::string& base
   s.name = v.get_or("name", s.name);
 
   if (v.contains("base_config")) {
-    std::string path = v.at("base_config").as_string();
-    if (!base_dir.empty() && !path.empty() && path[0] != '/') path = base_dir + "/" + path;
-    s.base = config::ArchConfig::load(path);
+    s.base = config::ArchConfig::load(resolve_path(v.at("base_config").as_string(), base_dir));
   } else {
     const std::string base = v.get_or("base", "tiny");
-    if (base == "tiny") {
-      s.base = config::ArchConfig::tiny();
-    } else if (base == "paper") {
-      s.base = config::ArchConfig::paper_default();
-    } else if (base == "mnsim") {
-      s.base = config::ArchConfig::mnsim_like();
-    } else {
+    try {
+      s.base = config::ArchConfig::preset(base);
+    } catch (const std::invalid_argument&) {
       fail("\"base\" must be tiny|paper|mnsim (or use \"base_config\": <path>), got \"" +
            base + "\"");
     }
@@ -697,7 +680,7 @@ MaterializedPoint materialize(const SearchSpace& space, const Point& p) {
     // the common "sweep core_count" space stays valid; setting both leaves
     // consistency to validate() below.
     if (p.count("core_count") != 0 && p.count("mesh") == 0) {
-      derive_squarest_mesh(&cfg);
+      cfg.set_squarest_mesh();
     } else if (p.count("mesh") != 0 && p.count("core_count") == 0) {
       cfg.core_count = cfg.mesh_width * cfg.mesh_height;
     }

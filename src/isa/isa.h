@@ -213,6 +213,7 @@ struct Format {
       operands_[operand_count_++] = o;
       carried |= 1u << static_cast<unsigned>(o.field);
       if (o.syntax == Syntax::Target) branch = true;
+      if (o.field == Field::Len) len_max = static_cast<uint32_t>((uint64_t{1} << o.bits) - 1);
     }
     for (const Access& a : acc) {
       accesses_[access_count_++] = a;
@@ -229,6 +230,7 @@ struct Format {
   uint16_t carried = 0;    ///< bit per Field
   uint8_t reads = 0;       ///< accesses that read `len` source elements
   uint8_t len_writes = 0;  ///< accesses that write `len` destination elements
+  uint32_t len_max = 0;    ///< largest `len` the encoding's slot holds; 0 without one
 
  private:
   std::array<Operand, 4> operands_{};

@@ -167,6 +167,8 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
       // Class checks first, then the local-memory ranges, then (global
       // transfers) the global side: the order the messages come out in.
       const GroupDef* g = nullptr;
+      const uint32_t len_max = op_info(in.op).format->len_max;
+      const bool len_encodable = in.len != 0 && in.len <= len_max;
       switch (in.cls()) {
         case InstrClass::Matrix: {
           g = in.group < groups.size() ? groups[in.group] : nullptr;
@@ -178,18 +180,18 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
             err(loc(pc) + strformat("mvm len %u != group %u in_len %u", in.len, in.group,
                                     g->in_len));
           }
-          if (in.len == 0 || in.len > 0xFFFF) err(loc(pc) + "mvm len out of encodable range");
+          if (!len_encodable) err(loc(pc) + "mvm len out of encodable range");
           break;
         }
         case InstrClass::Vector:
-          if (in.len == 0 || in.len > 0xFFF) {
-            err(loc(pc) + strformat("vector len %u out of encodable range [1,4095]", in.len));
+          if (!len_encodable) {
+            err(loc(pc) + strformat("vector len %u out of encodable range [1,%u]", in.len, len_max));
           }
           break;
         case InstrClass::Transfer:
           if (in.op == Opcode::SEND || in.op == Opcode::RECV) {
-            if (in.len == 0 || in.len > 0xFFFF) {
-              err(loc(pc) + "transfer len out of encodable range [1,65535]");
+            if (!len_encodable) {
+              err(loc(pc) + strformat("transfer len out of encodable range [1,%u]", len_max));
             }
             if (in.core >= cfg.core_count) {
               err(loc(pc) + strformat("transfer peer core %u out of range", in.core));
@@ -207,8 +209,8 @@ std::vector<std::string> Program::verify(const config::ArchConfig& cfg,
             } else {
               add_flow(recv_bytes, flow_key(in.core, self, in.tag), bytes);
             }
-          } else if (in.len == 0 || in.len > 0xFFF) {
-            err(loc(pc) + "global transfer len out of encodable range [1,4095]");
+          } else if (!len_encodable) {
+            err(loc(pc) + strformat("global transfer len out of encodable range [1,%u]", len_max));
           }
           break;
         case InstrClass::Scalar: {

@@ -477,9 +477,7 @@ std::vector<Scenario> sweep_from_json(const json::Value& spec, const std::string
   }
   config::ArchConfig arch;
   if (spec.contains("config")) {
-    std::string path = spec.at("config").as_string();
-    if (!base_dir.empty() && !path.empty() && path[0] != '/') path = base_dir + "/" + path;
-    arch = config::ArchConfig::load(path);
+    arch = config::ArchConfig::load(resolve_path(spec.at("config").as_string(), base_dir));
   } else {
     arch = config::ArchConfig::preset(spec.get_or("arch", "tiny"));
   }

@@ -91,11 +91,7 @@ runtime::Scenario scenario_from_request(const json::Value& body,
       if (c.is_object()) {
         s.arch = config::ArchConfig::from_json(c);
       } else {
-        std::string path = c.as_string();
-        if (!base_dir.empty() && !path.empty() && path[0] != '/') {
-          path = base_dir + "/" + path;
-        }
-        s.arch = config::ArchConfig::load(path);
+        s.arch = config::ArchConfig::load(resolve_path(c.as_string(), base_dir));
       }
     } else {
       s.arch = config::ArchConfig::preset(body.get_or("arch", "paper"));

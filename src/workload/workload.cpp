@@ -23,11 +23,6 @@ std::string file_stem(const std::string& path) {
   return base.empty() ? "graph" : base;
 }
 
-std::string resolve_path(const std::string& path, const std::string& base_dir) {
-  if (base_dir.empty() || path.empty() || path[0] == '/') return path;
-  return base_dir + "/" + path;
-}
-
 int32_t positive_i32(const char* field, int64_t v) {
   if (v < 1 || v > INT32_MAX) {
     fail(strformat("\"%s\" must be a positive integer, got %lld", field,

@@ -34,7 +34,7 @@ std::string fresh_dir(const std::string& tag) {
 // ---------------------------------------------------------------- arch key
 
 TEST(ArchKey, SimOnlyFieldsShareOneCompileIdentity) {
-  const config::ArchConfig base = config::ArchConfig::tiny();
+  const config::ArchConfig base = config::ArchConfig::preset("tiny");
   const uint64_t key = artifact::arch_key(base);
 
   // Every simulation-side knob a sweep typically varies must keep the key.
@@ -53,7 +53,7 @@ TEST(ArchKey, SimOnlyFieldsShareOneCompileIdentity) {
 }
 
 TEST(ArchKey, EveryCompileRelevantFieldChangesTheKey) {
-  const config::ArchConfig base = config::ArchConfig::tiny();
+  const config::ArchConfig base = config::ArchConfig::preset("tiny");
   const uint64_t key = artifact::arch_key(base);
   std::set<uint64_t> keys = {key};
 
@@ -106,7 +106,7 @@ TEST(ArchKey, EveryCompileRelevantFieldChangesTheKey) {
 TEST(VerifyProof, CompiledNetworkUnderAnotherKeyStillVerifies) {
   const workload::BuiltWorkload built =
       workload::build(workload::parse_workload_token("tiny_cnn", 8), /*init_params=*/false);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = false;
   compiler::CompileOptions copts;
   copts.include_weights = false;
@@ -158,7 +158,7 @@ TEST(VerifyProof, CompiledNetworkUnderAnotherKeyStillVerifies) {
 TEST(VerifyProof, CoveringProofMeansTheChipNeverVerifies) {
   const workload::BuiltWorkload built =
       workload::build(workload::parse_workload_token("mlp", 8), /*init_params=*/false);
-  const config::ArchConfig cfg = config::ArchConfig::tiny();
+  const config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program program = compiler::compile(built.graph, cfg);
   std::optional<isa::VerifyProof> proof;
   ASSERT_TRUE(program.verify(cfg, &proof).empty());
@@ -240,7 +240,7 @@ TEST(Store, SimKnobSweepCompilesExactlyOnceBitIdentical) {
   copts.include_weights = false;
 
   for (const uint32_t rob : {2u, 4u, 8u, 16u}) {
-    config::ArchConfig cfg = config::ArchConfig::tiny();
+    config::ArchConfig cfg = config::ArchConfig::preset("tiny");
     cfg.core.rob_size = rob;
     cfg.sim.functional = false;
     const auto net = store.program(wl, cfg, copts);
@@ -263,7 +263,7 @@ TEST(Store, ZooTimesPolicyOracleBitIdenticalToDirectPath) {
   // compile via Store, simulate the shared program) must be bit-identical
   // to the pre-refactor direct path — including agreeing on which
   // configurations fail to compile.
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = true;
   artifact::Store store;
   for (const std::string& model : workload::builtin_names()) {
@@ -315,7 +315,7 @@ TEST(Store, ConcurrentRequestsCompileOncePerKey) {
   const workload::WorkloadSpec spec = workload::WorkloadSpec::builtin("tiny_cnn", 8);
   artifact::Store store;
   const artifact::GraphHandle wl = store.graph(spec, /*init_params=*/false);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = false;
 
   constexpr unsigned kThreads = 8;
@@ -352,7 +352,7 @@ TEST(Store, LruEvictionDropsOldestFinishedProgram) {
   artifact::Store store(opt);
   const artifact::GraphHandle wl =
       store.graph(workload::WorkloadSpec::builtin("tiny_cnn", 8), false);
-  const config::ArchConfig cfg = config::ArchConfig::tiny();
+  const config::ArchConfig cfg = config::ArchConfig::preset("tiny");
 
   const auto program_for_batch = [&](uint32_t b) {
     compiler::CompileOptions copts;
@@ -386,7 +386,7 @@ TEST(BatchRunnerArtifacts, SixteenScenariosFourCompilesBitIdentical) {
       for (const uint32_t batch : {1u, 2u}) {
         runtime::Scenario s;
         s.workload = workload::WorkloadSpec::builtin("tiny_cnn", 8);
-        s.arch = config::ArchConfig::tiny();
+        s.arch = config::ArchConfig::preset("tiny");
         s.copts.policy = policy;
         s.copts.batch = batch;
         s.functional = false;
@@ -424,7 +424,7 @@ TEST(BatchRunnerArtifacts, ParallelPrefetchBitIdenticalOneBuildPerUniqueGraph) {
     for (const int32_t hw : sizes) {
       runtime::Scenario s;
       s.workload = workload::WorkloadSpec::builtin("tiny_cnn", hw);
-      s.arch = config::ArchConfig::tiny();
+      s.arch = config::ArchConfig::preset("tiny");
       s.functional = false;
       s.name = s.derive_name() + "#" + std::to_string(rep);
       scenarios.push_back(std::move(s));
@@ -454,13 +454,13 @@ TEST(BatchRunnerArtifacts, ParallelPrefetchFailureParityWithSerial) {
   for (const int32_t hw : {8, 10, 12}) {
     runtime::Scenario s;
     s.workload = workload::WorkloadSpec::builtin("tiny_cnn", hw);
-    s.arch = config::ArchConfig::tiny();
+    s.arch = config::ArchConfig::preset("tiny");
     s.name = s.derive_name();
     scenarios.push_back(std::move(s));
   }
   runtime::Scenario bad;
   bad.workload = workload::WorkloadSpec::graph_file(fresh_dir("prefetch_fail") + "/absent.json");
-  bad.arch = config::ArchConfig::tiny();
+  bad.arch = config::ArchConfig::preset("tiny");
   bad.name = "absent";
   scenarios.push_back(bad);
 
@@ -501,7 +501,7 @@ TEST(EvaluatorArtifacts, FileEditedMidBatchCannotPoisonTheResultCache) {
 
   dse::SearchSpace space;
   space.name = "toctou-space";
-  space.base = config::ArchConfig::tiny();
+  space.base = config::ArchConfig::preset("tiny");
   space.workload = workload::WorkloadSpec::graph_file(wl_path);
   space.functional = true;
   space.knobs.push_back({"rob_size", {json::Value(4), json::Value(8)}});

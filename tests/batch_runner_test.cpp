@@ -16,7 +16,7 @@ std::vector<runtime::Scenario> small_sweep(bool functional = true) {
       {workload::WorkloadSpec::builtin("tiny_cnn", /*input_hw=*/8),
        workload::WorkloadSpec::mlp(/*input_hw=*/8)},
       {compiler::MappingPolicy::PerformanceFirst, compiler::MappingPolicy::UtilizationFirst},
-      {1, 2}, config::ArchConfig::tiny(), functional);
+      {1, 2}, config::ArchConfig::preset("tiny"), functional);
 }
 
 TEST(ExpandSweep, CrossProductWithUniqueNames) {

@@ -17,7 +17,7 @@ nn::Graph small_net() {
 }
 
 config::ArchConfig tiny_cfg() {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = true;
   cfg.core.rob_size = 16;
   return cfg;

@@ -22,7 +22,7 @@ TEST(Mapping, TilingMatchesCeilArithmetic) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_alexnet(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   Mapping m = plan_mapping(g, cfg, MappingPolicy::PerformanceFirst);
   for (const LayerPlan& lp : m.layers) {
     const nn::Layer& l = g.layer(lp.layer);
@@ -47,7 +47,7 @@ TEST(Mapping, PerformanceFirstKeepsOneLayerPerCore) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_resnet18(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   Mapping m = plan_mapping(g, cfg, MappingPolicy::PerformanceFirst);
   EXPECT_EQ(m.shared_core_count(), 0u);
   for (uint32_t c : m.matrix_layer_count) EXPECT_LE(c, 1u);
@@ -58,7 +58,7 @@ TEST(Mapping, UtilizationFirstPacksTightly) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_resnet18(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   Mapping util = plan_mapping(g, cfg, MappingPolicy::UtilizationFirst);
   Mapping perf = plan_mapping(g, cfg, MappingPolicy::PerformanceFirst);
   auto used_cores = [](const Mapping& m) {
@@ -82,7 +82,7 @@ TEST(Mapping, RespectsCoreCapacity) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_vgg16(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   for (MappingPolicy p : {MappingPolicy::UtilizationFirst, MappingPolicy::PerformanceFirst}) {
     Mapping m = plan_mapping(g, cfg, p);
     for (uint32_t x : m.xbars_used) EXPECT_LE(x, cfg.core.matrix.xbar_count);
@@ -94,7 +94,7 @@ TEST(Mapping, ThrowsWhenChipTooSmall) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_vgg16(mopt);  // ~1000 crossbars
-  config::ArchConfig cfg = config::ArchConfig::tiny();  // 4 cores x 16 xbars
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");  // 4 cores x 16 xbars
   EXPECT_THROW(plan_mapping(g, cfg, MappingPolicy::UtilizationFirst), std::runtime_error);
 }
 
@@ -103,7 +103,7 @@ TEST(Mapping, GroupIdsUniquePerCore) {
   mopt.input_hw = 32;
   mopt.init_params = false;
   nn::Graph g = nn::build_googlenet(mopt);
-  config::ArchConfig cfg = config::ArchConfig::paper_default();
+  config::ArchConfig cfg = config::ArchConfig::preset("paper");
   Mapping m = plan_mapping(g, cfg, MappingPolicy::UtilizationFirst);
   std::map<uint16_t, std::set<uint16_t>> per_core;
   for (const LayerPlan& lp : m.layers) {
@@ -116,7 +116,7 @@ TEST(Mapping, GroupIdsUniquePerCore) {
 
 TEST(Mapping, SummaryMentionsPolicy) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Mapping m = plan_mapping(g, cfg, MappingPolicy::PerformanceFirst);
   EXPECT_NE(m.summary().find("performance_first"), std::string::npos);
 }
@@ -125,7 +125,7 @@ TEST(Mapping, SummaryMentionsPolicy) {
 
 TEST(Codegen, ProgramPassesVerification) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   CompileReport rep;
   isa::Program p = compile(g, cfg, {}, &rep);
   EXPECT_TRUE(p.verify(cfg).empty());
@@ -136,7 +136,7 @@ TEST(Codegen, ProgramPassesVerification) {
 
 TEST(Codegen, MvmCountMatchesPixelsTimesGroups) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   CompileReport rep;
   compile(g, cfg, {}, &rep);
   size_t expected = 0;
@@ -150,7 +150,7 @@ TEST(Codegen, MvmCountMatchesPixelsTimesGroups) {
 
 TEST(Codegen, DeterministicOutput) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program a = compile(g, cfg, {});
   isa::Program b = compile(g, cfg, {});
   EXPECT_EQ(a, b);
@@ -158,7 +158,7 @@ TEST(Codegen, DeterministicOutput) {
 
 TEST(Codegen, GroupTableHoldsWeightSlices) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program p = compile(g, cfg, {});
   size_t weight_elems = 0;
   for (const isa::CoreProgram& cp : p.cores) {
@@ -172,7 +172,7 @@ TEST(Codegen, GroupTableHoldsWeightSlices) {
 
 TEST(Codegen, WeightsCanBeOmitted) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   CompileOptions opts;
   opts.include_weights = false;
   isa::Program p = compile(g, cfg, opts);
@@ -183,7 +183,7 @@ TEST(Codegen, WeightsCanBeOmitted) {
 
 TEST(Codegen, FusionChangesGeneratedCodeNotSemantics) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   CompileOptions fused, unfused;
   unfused.fuse_relu = false;
   CompileReport rf, ru;
@@ -207,7 +207,7 @@ TEST(Codegen, FusionChangesGeneratedCodeNotSemantics) {
 
 TEST(Codegen, EveryUsedCoreEndsWithHalt) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program p = compile(g, cfg, {});
   size_t used = 0;
   for (const isa::CoreProgram& cp : p.cores) {
@@ -220,7 +220,7 @@ TEST(Codegen, EveryUsedCoreEndsWithHalt) {
 
 TEST(Codegen, InstructionsCarryLayerIds) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program p = compile(g, cfg, {});
   size_t tagged = 0, total = 0;
   for (const isa::CoreProgram& cp : p.cores) {
@@ -238,7 +238,7 @@ TEST(Codegen, ThrowsOnLocalMemoryOverflow) {
   nn::ModelOptions mopt;
   mopt.input_hw = 16;
   nn::Graph g = nn::build_tiny_cnn(mopt);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.core.local_memory.size_bytes = 512;  // absurdly small
   EXPECT_THROW(compile(g, cfg, {}), std::runtime_error);
 }
@@ -255,7 +255,7 @@ TEST(Codegen, ResidualNetworkCompiles) {
   g.add_relu(sum, "out");
   g.infer_shapes();
   g.init_parameters(5);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program p = compile(g, cfg, {});
   EXPECT_TRUE(p.verify(cfg).empty());
 }
@@ -269,14 +269,14 @@ TEST(Codegen, ConcatNetworkCompiles) {
   g.add_conv(cat, 4, 1, 1, 0, "post");
   g.infer_shapes();
   g.init_parameters(5);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   isa::Program p = compile(g, cfg, {});
   EXPECT_TRUE(p.verify(cfg).empty());
 }
 
 TEST(Codegen, PolicyRecordedInProgram) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   CompileOptions opts;
   opts.policy = MappingPolicy::UtilizationFirst;
   isa::Program p = compile(g, cfg, opts);

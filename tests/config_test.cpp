@@ -3,7 +3,9 @@
 
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "config/arch_config.h"
 #include "json/json.h"
@@ -16,14 +18,33 @@ TEST(ArchConfig, DefaultsValidate) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+TEST(ArchConfig, PresetsResolveConcurrentlyAsIndependentCopies) {
+  // Placed before every other preset use, so the threads race on the
+  // first parse of each preset (the case the TSan job checks).
+  std::vector<std::thread> threads;
+  std::vector<std::string> dumps(4);
+  for (size_t t = 0; t < dumps.size(); ++t) {
+    threads.emplace_back([&dumps, t] {
+      for (const char* name : {"mnsim", "paper", "tiny"}) {
+        ArchConfig cfg = ArchConfig::preset(name);
+        dumps[t] += cfg.to_json().dump();
+        cfg.core_count = 0;  // a copy: the next caller must not see this
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const std::string& d : dumps) EXPECT_EQ(d, dumps[0]);
+  EXPECT_EQ(ArchConfig::preset("tiny").core_count, 4u);
+}
+
 TEST(ArchConfig, PresetsValidate) {
-  EXPECT_NO_THROW(ArchConfig::paper_default().validate());
-  EXPECT_NO_THROW(ArchConfig::mnsim_like().validate());
-  EXPECT_NO_THROW(ArchConfig::tiny().validate());
+  EXPECT_NO_THROW(ArchConfig::preset("paper").validate());
+  EXPECT_NO_THROW(ArchConfig::preset("mnsim").validate());
+  EXPECT_NO_THROW(ArchConfig::preset("tiny").validate());
 }
 
 TEST(ArchConfig, PaperDefaultMatchesSection4A) {
-  ArchConfig cfg = ArchConfig::paper_default();
+  ArchConfig cfg = ArchConfig::preset("paper");
   EXPECT_EQ(cfg.core_count, 64u);
   EXPECT_EQ(cfg.core.matrix.xbar_count, 512u);
   EXPECT_EQ(cfg.core.matrix.xbar.rows, 128u);
@@ -76,8 +97,35 @@ TEST(ArchConfig, ValidationCatchesBadUnits) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+TEST(ArchConfig, RegisterCountIsBoundedByTheRegisterFile) {
+  // The core holds 32 registers and tracks register hazards in 32-bit masks.
+  ArchConfig cfg = ArchConfig::preset("tiny");
+  cfg.core.register_count = 32;
+  EXPECT_NO_THROW(cfg.validate());
+  for (const uint32_t count : {3u, 33u, 64u}) {
+    cfg.core.register_count = count;
+    EXPECT_THROW(cfg.validate(), std::invalid_argument) << count;
+  }
+}
+
+TEST(ArchConfig, FromJsonRejectsUnknownKeysByDottedPath) {
+  for (const auto& [text, path] :
+       {std::pair{R"({"core": {"rob_sise": 2}})", "core.rob_sise"},
+        std::pair{R"({"core": {"matrix": {"xbar": {"row": 64}}}})", "core.matrix.xbar.row"},
+        std::pair{R"({"cores": 4})", "cores"},
+        std::pair{R"({"sim": {"max_wall_ms": 5}})", "sim.max_wall_ms"}}) {
+    try {
+      ArchConfig::from_json(json::parse(text));
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("\"") + path + "\""), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ArchConfig, JsonRoundTripPreservesEverything) {
-  ArchConfig cfg = ArchConfig::paper_default();
+  ArchConfig cfg = ArchConfig::preset("paper");
   cfg.core.rob_size = 12;
   cfg.core.matrix.xbar.read_energy_pj = 4.5;
   cfg.noc.hop_latency_cycles = 3;
@@ -120,7 +168,7 @@ TEST(ArchConfig, TraceFileKeyIsRefusedUnlessEmpty) {
 TEST(ArchConfig, LoadsAConfigSavedWithTheRemovedSimKeys) {
   // Older save() output carried two more sim keys; such files keep loading
   // and mean the same configuration.
-  ArchConfig cfg = ArchConfig::paper_default();
+  ArchConfig cfg = ArchConfig::preset("paper");
   cfg.sim.max_time_ps = 12345;
   cfg.sim.functional = false;
   json::Value old = cfg.to_json();
@@ -135,7 +183,9 @@ TEST(ArchConfig, LoadsAConfigSavedWithTheRemovedSimKeys) {
 }
 
 TEST(ArchConfig, ShippedConfigsEqualThePresets) {
-  // Parsed raw, so a key dropped from to_json cannot linger in the files.
+  // The files on disk are the presets' source; the library holds a copy
+  // taken at configure time. Parsed raw, so a key dropped from to_json
+  // cannot linger in the files, and a stale embedded copy shows here.
   for (const auto& [file, preset] : {std::pair{"tiny.json", "tiny"},
                                      std::pair{"paper_default.json", "paper"},
                                      std::pair{"mnsim_like.json", "mnsim"}}) {
@@ -162,7 +212,7 @@ TEST(ArchConfig, MeshDerivedWhenOmitted) {
 
 TEST(ArchConfig, SaveLoadFile) {
   const std::string path = std::filesystem::temp_directory_path() / "pim_cfg_test.json";
-  ArchConfig cfg = ArchConfig::mnsim_like();
+  ArchConfig cfg = ArchConfig::preset("mnsim");
   cfg.save(path);
   ArchConfig back = ArchConfig::load(path);
   EXPECT_EQ(back.to_json(), cfg.to_json());

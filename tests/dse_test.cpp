@@ -191,8 +191,8 @@ TEST(ArchRoundTripTest, OverrideThenSerializeIsLossless) {
 
 TEST(ArchRoundTripTest, PresetsRoundTripLossless) {
   for (const config::ArchConfig& cfg :
-       {config::ArchConfig::tiny(), config::ArchConfig::paper_default(),
-        config::ArchConfig::mnsim_like()}) {
+       {config::ArchConfig::preset("tiny"), config::ArchConfig::preset("paper"),
+        config::ArchConfig::preset("mnsim")}) {
     const json::Value once = cfg.to_json();
     const json::Value twice = config::ArchConfig::from_json(once).to_json();
     EXPECT_EQ(once.dump(), twice.dump()) << cfg.name;
@@ -200,7 +200,7 @@ TEST(ArchRoundTripTest, PresetsRoundTripLossless) {
 }
 
 TEST(ArchRoundTripTest, ValidateRejectsInconsistentMesh) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.mesh_width = 3;
   cfg.mesh_height = 3;  // 9 != 4 cores
   try {
@@ -250,7 +250,7 @@ TEST(SamplerTest, GridBoundsScanOnJointlyUnsatisfiableConstraints) {
   // return empty (which stops the explorer), and account for every skipped
   // candidate.
   SearchSpace s;
-  s.base = config::ArchConfig::tiny();
+  s.base = config::ArchConfig::preset("tiny");
   Knob a{"noc_link_bytes", {}};
   Knob b{"rob_size", {}};
   for (int v = 1; v <= 512; ++v) {
@@ -274,7 +274,7 @@ TEST(SamplerTest, GridFindsSparseFeasiblePointsWithinTheScanBudget) {
   // must still surface those needles (they lie within the per-call budget),
   // not bail early.
   SearchSpace s;
-  s.base = config::ArchConfig::tiny();
+  s.base = config::ArchConfig::preset("tiny");
   Knob a{"noc_link_bytes", {}};
   Knob b{"rob_size", {}};
   for (int v = 1; v <= 512; ++v) {
@@ -338,7 +338,7 @@ TEST(SamplerTest, RandomBoundsScanOnJointlyUnsatisfiableConstraints) {
   // duplicate_skips() untouched (an infeasible draw never reaches the
   // dedup set).
   SearchSpace s;
-  s.base = config::ArchConfig::tiny();
+  s.base = config::ArchConfig::preset("tiny");
   Knob a{"noc_link_bytes", {}};
   Knob b{"rob_size", {}};
   for (int v = 1; v <= 512; ++v) {

@@ -34,7 +34,7 @@ runtime::Report check_bit_exact(const nn::Graph& net, const config::ArchConfig& 
 }
 
 config::ArchConfig tiny_cfg() {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = true;
   return cfg;
 }

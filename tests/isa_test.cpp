@@ -358,12 +358,12 @@ Program minimal_program() {
 }
 
 TEST(ProgramVerify, AcceptsMinimal) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   EXPECT_TRUE(minimal_program().verify(cfg).empty());
 }
 
 TEST(ProgramVerify, CatchesUndefinedGroup) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   p.cores[0].code[0].group = 7;
   auto errs = p.verify(cfg);
@@ -372,21 +372,21 @@ TEST(ProgramVerify, CatchesUndefinedGroup) {
 }
 
 TEST(ProgramVerify, CatchesLenMismatch) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   p.cores[0].code[0].len = 16;  // != group in_len
   EXPECT_FALSE(p.verify(cfg).empty());
 }
 
 TEST(ProgramVerify, CatchesMissingHalt) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   p.cores[0].code.pop_back();
   EXPECT_FALSE(p.verify(cfg).empty());
 }
 
 TEST(ProgramVerify, CatchesLocalMemoryOverflow) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   Instruction mv;
   mv.op = Opcode::VMOV;
@@ -401,7 +401,7 @@ TEST(ProgramVerify, CatchesLocalMemoryOverflow) {
 }
 
 TEST(ProgramVerify, CatchesUnmatchedSend) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   Instruction snd;
   snd.op = Opcode::SEND;
@@ -416,7 +416,7 @@ TEST(ProgramVerify, CatchesUnmatchedSend) {
 }
 
 TEST(ProgramVerify, CatchesSendRecvByteMismatch) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   p.cores.resize(2);
   Instruction snd;
@@ -439,7 +439,7 @@ TEST(ProgramVerify, CatchesSendRecvByteMismatch) {
 }
 
 TEST(ProgramVerify, CatchesBranchOutOfRange) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   Instruction jmp;
   jmp.op = Opcode::JMP;
@@ -449,7 +449,7 @@ TEST(ProgramVerify, CatchesBranchOutOfRange) {
 }
 
 TEST(ProgramVerify, CatchesTooManyXbars) {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   Program p = minimal_program();
   p.cores[0].groups[0].xbar_count = cfg.core.matrix.xbar_count + 1;
   EXPECT_FALSE(p.verify(cfg).empty());
@@ -630,7 +630,7 @@ struct GoldenCase {
 };
 
 TEST(ProgramVerify, GoldenErrorLists) {
-  const config::ArchConfig cfg = config::ArchConfig::tiny();
+  const config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   const GoldenCase cases[] = {
       {"duplicate_and_undefined_groups",
        duplicate_and_undefined_groups,
@@ -832,7 +832,7 @@ json::Value isa_forms() {
   f["fnv1a64"] = json::Value(hex64(fnv1a64(records)));
   golden["fuzz_0xc0dec"] = std::move(f);
 
-  const config::ArchConfig cfg = config::ArchConfig::paper_default();
+  const config::ArchConfig cfg = config::ArchConfig::preset("paper");
   compiler::CompileOptions copts;
   copts.include_weights = false;
   json::Value zoo;

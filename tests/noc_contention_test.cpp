@@ -16,7 +16,7 @@ using isa::Program;
 
 /// 3x3 mesh for richer routing.
 config::ArchConfig mesh9() {
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.core_count = 9;
   cfg.mesh_width = 3;
   cfg.mesh_height = 3;

@@ -96,7 +96,7 @@ TEST_P(RandomNetworkPipeline, BitExactAndDeadlockFree) {
   Rng rng(seed * 31 + 5);
   nn::Graph net = random_network(seed);
 
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = true;
   cfg.core.rob_size = static_cast<uint32_t>(rng.uniform(1, 24));
 
@@ -236,6 +236,7 @@ std::optional<config::ArchConfig> mutate_field(const config::ArchConfig& base,
   } else if (leaf->is_int()) {
     candidates.emplace_back(leaf->as_int() * 2 + 1);
     candidates.emplace_back(leaf->as_int() + 1);
+    candidates.emplace_back(leaf->as_int() - 1);  // for fields already at their maximum
   } else if (leaf->is_number()) {
     candidates.emplace_back(leaf->as_double() * 1.5 + 0.25);
   } else if (leaf->is_string()) {
@@ -256,7 +257,7 @@ std::optional<config::ArchConfig> mutate_field(const config::ArchConfig& base,
 }
 
 TEST(VerifySoundness, SimulationOnlyFieldsNeverChangeVerifyOutput) {
-  config::ArchConfig base = config::ArchConfig::tiny();
+  config::ArchConfig base = config::ArchConfig::preset("tiny");
   base.core.local_memory.size_bytes = 32 * 1024;  // fuzzed operands straddle the end
   std::vector<isa::Program> programs;
   Rng rng(0x50D);

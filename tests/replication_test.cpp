@@ -28,7 +28,7 @@ nn::Graph small_net() {
 
 TEST(Replication, MappingCreatesReplicas) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   compiler::Mapping m =
       compiler::plan_mapping(g, cfg, MappingPolicy::PerformanceFirst, /*max_replication=*/2);
   bool any_replicated = false;
@@ -50,7 +50,7 @@ TEST(Replication, MappingCreatesReplicas) {
 
 TEST(Replication, FcLayersNeverReplicate) {
   nn::Graph g = nn::build_mlp(32, {64}, 10);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   compiler::Mapping m =
       compiler::plan_mapping(g, cfg, MappingPolicy::PerformanceFirst, 8);
   for (const compiler::LayerPlan& lp : m.layers) EXPECT_EQ(lp.replication(), 1u);
@@ -58,7 +58,7 @@ TEST(Replication, FcLayersNeverReplicate) {
 
 TEST(Replication, UtilizationFirstIgnoresReplication) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   compiler::Mapping m =
       compiler::plan_mapping(g, cfg, MappingPolicy::UtilizationFirst, 8);
   for (const compiler::LayerPlan& lp : m.layers) EXPECT_EQ(lp.replication(), 1u);
@@ -66,7 +66,7 @@ TEST(Replication, UtilizationFirstIgnoresReplication) {
 
 TEST(Replication, XbarAccountingIncludesAllReplicas) {
   nn::Graph g = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   compiler::Mapping m1 = compiler::plan_mapping(g, cfg, MappingPolicy::PerformanceFirst, 1);
   compiler::Mapping m2 = compiler::plan_mapping(g, cfg, MappingPolicy::PerformanceFirst, 2);
   uint32_t used1 = 0, used2 = 0;
@@ -80,7 +80,7 @@ class ReplicationBitExact : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ReplicationBitExact, MatchesReference) {
   nn::Graph net = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = true;
   cfg.core.rob_size = 16;
   CompileOptions copts;
@@ -99,7 +99,7 @@ INSTANTIATE_TEST_SUITE_P(Factors, ReplicationBitExact, ::testing::Values(1u, 2u,
 
 TEST(Replication, ReducesLatencyOnConvBoundNet) {
   nn::Graph net = small_net();
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   cfg.sim.functional = false;
   cfg.core.rob_size = 16;
   CompileOptions r1, r2;
@@ -117,7 +117,7 @@ TEST(Trace, FileContainsRetiredInstructions) {
   const std::string path =
       (std::filesystem::temp_directory_path() / "pim_trace_test.json").string();
   nn::Graph net = nn::build_mlp(8, {}, 4);
-  config::ArchConfig cfg = config::ArchConfig::tiny();
+  config::ArchConfig cfg = config::ArchConfig::preset("tiny");
   telemetry::TraceSink sink;
   runtime::Report rep = runtime::simulate_network(net, cfg, {}, nullptr, &sink);
   EXPECT_TRUE(rep.finished);

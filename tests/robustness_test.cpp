@@ -331,7 +331,7 @@ TEST(WallWatchdog, GenerousDeadlineRunsToCompletion) {
 runtime::Scenario mlp_scenario() {
   runtime::Scenario s;
   s.workload = workload::WorkloadSpec::mlp(/*input_hw=*/8);
-  s.arch = config::ArchConfig::tiny();
+  s.arch = config::ArchConfig::preset("tiny");
   s.functional = false;
   s.name = s.derive_name();
   return s;
@@ -415,7 +415,7 @@ TEST(BatchFaults, AResolveErrorIsRetriedOnceNotAgainPerScenario) {
 runtime::Scenario graph_file_scenario(const std::string& path) {
   runtime::Scenario s;
   s.workload = workload::WorkloadSpec::graph_file(path);
-  s.arch = config::ArchConfig::tiny();
+  s.arch = config::ArchConfig::preset("tiny");
   s.name = s.derive_name();
   return s;
 }
@@ -465,7 +465,7 @@ TEST(BatchFaults, WallWatchdogKillsARunawayScenario) {
   // not be retried even with retries enabled.
   runtime::Scenario s;
   s.workload = workload::WorkloadSpec::builtin("tiny_cnn", /*input_hw=*/32);
-  s.arch = config::ArchConfig::tiny();
+  s.arch = config::ArchConfig::preset("tiny");
   s.functional = false;
   s.name = s.derive_name();
 

@@ -202,7 +202,7 @@ TEST(RoundTripTest, ExportedZooModelsReproduceBuiltinReports) {
   // must be bit-identical between the builtin and its exported file, for
   // every zoo network at a resolution its stem supports (the VGG stacks
   // pool five times, so they need 32x32).
-  const config::ArchConfig paper = config::ArchConfig::paper_default();
+  const config::ArchConfig paper = config::ArchConfig::preset("paper");
   for (const auto& [name, hw] : std::initializer_list<std::pair<const char*, int32_t>>{
            {"tiny_cnn", 8}, {"alexnet", 8}, {"squeezenet", 8}, {"resnet18", 8},
            {"googlenet", 8}, {"vgg8", 32}, {"vgg16", 32}}) {
@@ -213,7 +213,7 @@ TEST(RoundTripTest, ExportedZooModelsReproduceBuiltinReports) {
 TEST(RoundTripTest, FunctionalReportsMatchIncludingOutputs) {
   // With parameters in the file, the functional output must match too.
   expect_exported_matches_builtin("tiny_cnn", 8, /*functional=*/true,
-                                  config::ArchConfig::tiny());
+                                  config::ArchConfig::preset("tiny"));
 }
 
 TEST(RoundTripTest, GraphFileOnlyNetworkRunsEndToEnd) {
@@ -233,7 +233,7 @@ TEST(RoundTripTest, GraphFileOnlyNetworkRunsEndToEnd) {
   std::vector<runtime::Scenario> sweep = runtime::expand_sweep(
       {WorkloadSpec::graph_file(path)},
       {compiler::MappingPolicy::PerformanceFirst, compiler::MappingPolicy::UtilizationFirst},
-      {1, 2}, config::ArchConfig::tiny(), /*functional=*/true);
+      {1, 2}, config::ArchConfig::preset("tiny"), /*functional=*/true);
   ASSERT_EQ(sweep.size(), 4u);
   EXPECT_EQ(sweep[0].name, "filenet/perf/b1");
 
@@ -244,7 +244,7 @@ TEST(RoundTripTest, GraphFileOnlyNetworkRunsEndToEnd) {
   std::filesystem::copy_file(path, twin, std::filesystem::copy_options::overwrite_existing);
   const std::vector<runtime::Scenario> twins = runtime::expand_sweep(
       {WorkloadSpec::graph_file(path), WorkloadSpec::graph_file(twin)},
-      {compiler::MappingPolicy::PerformanceFirst}, {1}, config::ArchConfig::tiny(), false);
+      {compiler::MappingPolicy::PerformanceFirst}, {1}, config::ArchConfig::preset("tiny"), false);
   ASSERT_EQ(twins.size(), 2u);
   EXPECT_EQ(twins[0].name, "filenet/perf/b1");
   EXPECT_EQ(twins[1].name, "filenet/perf/b1#2");
@@ -405,7 +405,7 @@ TEST(FingerprintTest, CacheKeyChangesOnFileEditNeverOnMoveOrReformat) {
 
   runtime::Scenario sc;
   sc.workload = WorkloadSpec::graph_file(path);
-  sc.arch = config::ArchConfig::tiny();
+  sc.arch = config::ArchConfig::preset("tiny");
   const std::string key_original = dse::scenario_key(sc);
 
   // Semantic edit: different channel count -> different key.
